@@ -4,7 +4,7 @@
 # a fast benchmark smoke pass reported against the recorded trajectory
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
-# parallel / streaming / flight-recorder end-to-end smokes.
+# hash-seed / streaming / flight-recorder end-to-end smokes.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -31,25 +31,39 @@ echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only
 "$PYTHON" -m repro bench --suite catalog --smoke --no-record --report-only
 
-echo "== parallel process-backend smoke =="
-# Real CLI subprocess on a bundled dataset with 2 process workers; the
-# diagnostics must confirm the process backend actually served the run.
+echo "== hash-seed smoke =="
+# The synthetic generator and the pipeline must not depend on Python's
+# per-process string-hash seed: write one noisy synthetic instance under
+# two PYTHONHASHSEED values, discover FDs on each through the real CLI,
+# and require identical CSVs and identical FD lists.
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-"$PYTHON" -m repro dataset tic-tac-toe --output "$SMOKE_DIR/ttt.csv" >/dev/null
-"$PYTHON" -m repro discover "$SMOKE_DIR/ttt.csv" --workers 2 --json \
-    | "$PYTHON" -c '
+for hash_seed in 1 2; do
+    PYTHONHASHSEED=$hash_seed "$PYTHON" - "$SMOKE_DIR/synthetic-$hash_seed.csv" <<'PY'
+import sys
+from repro.dataset.io import write_csv
+from repro.datagen.synthetic import SyntheticSpec, generate
+spec = SyntheticSpec(n_tuples=400, n_attributes=10, noise_rate=0.05, seed=4000)
+write_csv(generate(spec).relation, sys.argv[1])
+PY
+    PYTHONHASHSEED=$hash_seed "$PYTHON" -m repro discover \
+        "$SMOKE_DIR/synthetic-$hash_seed.csv" --json > "$SMOKE_DIR/fds-$hash_seed.json"
+done
+cmp "$SMOKE_DIR/synthetic-1.csv" "$SMOKE_DIR/synthetic-2.csv"
+"$PYTHON" - "$SMOKE_DIR/fds-1.json" "$SMOKE_DIR/fds-2.json" <<'PY'
 import json, sys
-parallel = json.load(sys.stdin)["diagnostics"]["parallel"]
-assert parallel["backend"] == "process", parallel
-assert parallel["workers"] == 2, parallel
-print(f"process backend OK: {parallel}")
-'
+first, second = (json.load(open(path))["fds"] for path in sys.argv[1:])
+assert first == second, (first, second)
+assert first, "no FDs discovered on the synthetic instance"
+print(f"hash-seed smoke OK: identical CSV and {len(first)} identical FDs "
+      "under PYTHONHASHSEED=1 and =2")
+PY
 
 echo "== explain smoke =="
 # Every emitted FD must carry a parseable evidence record: run a real
 # CLI discovery with --explain-out and verify the ledger's first record
 # has a positive threshold margin and matching edge evidence.
+"$PYTHON" -m repro dataset tic-tac-toe --output "$SMOKE_DIR/ttt.csv" >/dev/null
 "$PYTHON" -m repro discover "$SMOKE_DIR/ttt.csv" --sparsity 0.01 \
     --explain --explain-out "$SMOKE_DIR/evidence.json" >/dev/null
 "$PYTHON" - "$SMOKE_DIR/evidence.json" <<'PY'

@@ -61,9 +61,8 @@ class SweepConfig:
     """Everything a sweep (and each of its table jobs) needs to know.
 
     ``hyperparameters`` is forwarded to :class:`repro.FDX` verbatim
-    (``lam``, ``sparsity``, ``seed``, ...); the sweep pins
-    ``n_jobs=1, parallel_backend="serial"`` inside each table job —
-    parallelism lives at the table level, not nested within one.
+    (``lam``, ``sparsity``, ``seed``, ...). Parallelism lives at the
+    table level; each table's discovery is one serial pipeline.
     """
 
     sample: int = 10_000
@@ -170,12 +169,7 @@ def _table_job(task: dict) -> dict:
     finally:
         connector.close()
     relation = sample.relation
-    model = FDX(
-        n_jobs=1,
-        parallel_backend="serial",
-        **config.hyperparameters,
-    )
-    result = model.discover(relation).to_dict()
+    result = FDX(**config.hyperparameters).discover(relation).to_dict()
     keys = discover_keys(
         relation, max_size=config.max_key_size, time_limit=KEY_TIME_LIMIT
     )
@@ -294,8 +288,7 @@ def sweep(
         else:
             # Thread fan-out for both pooled backends: in process mode
             # each thread supervises one child process per table, so a
-            # crash is isolated to its table (Executor.map on a process
-            # pool would fail the whole map on one crash).
+            # crash is isolated to its table.
             with ThreadExecutor(
                 min(config.workers, max(len(names), 1)),
                 registry=registry,

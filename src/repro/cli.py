@@ -50,17 +50,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         from .obs import SamplingProfiler
 
         profiler = SamplingProfiler(hz=args.profile_hz)
-    from .parallel import default_workers
-
-    if args.workers is None:
-        # Default: cpu_count capped at 8, but keep FDX's row-count gate so
-        # tiny inputs do not pay process start-up for nothing.
-        parallel_kwargs = {"n_jobs": default_workers()}
-    else:
-        # An explicit --workers request should actually exercise the
-        # parallel path, even on small demo datasets, so drop the
-        # row-count gate that FDX applies by default.
-        parallel_kwargs = {"n_jobs": args.workers, "parallel_min_rows": 0}
     fdx = FDX(
         lam=args.lam,
         sparsity=args.sparsity,
@@ -68,7 +57,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         max_rows_per_attribute=args.max_rows,
         tracer=tracer,
         track_memory=args.memory,
-        **parallel_kwargs,
     )
     if profiler is not None:
         with profiler:
@@ -448,13 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--memory", action="store_true",
                    help="record per-stage peak memory (tracemalloc) into "
                         "diagnostics['stage_bytes']")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="parallel process workers for the transform, "
-                        "covariance and lambda-grid stages; 0 or 1 = serial "
-                        "(default: os.cpu_count() capped at 8, applied only "
-                        "to relations large enough to amortize process "
-                        "start-up; an explicit N always engages the "
-                        "parallel path)")
     p.set_defaults(func=_cmd_discover)
 
     p = sub.add_parser("profile", help="single-column statistics of a CSV file")
@@ -539,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--suite", default="micro", metavar="NAME",
                    help="suite to run: micro, scalability, service, "
-                        "resilience, parallel, streaming, catalog, or all")
+                        "resilience, streaming, catalog, or all")
     p.add_argument("--repeat", type=int, default=3,
                    help="timed iterations per benchmark (median is recorded)")
     p.add_argument("--smoke", action="store_true",

@@ -32,7 +32,6 @@ from ..errors import (
 from ..obs.explain import build_evidence
 from ..obs.profile import MemoryTracker
 from ..obs.trace import Tracer, get_tracer
-from ..parallel.executor import BACKENDS, Executor, make_executor, resolve_workers
 from ..resilience.cancel import current_cancel_token
 from .fd import FD
 from .structure import learn_structure, learn_structure_resilient
@@ -282,25 +281,6 @@ class FDX:
         Outer-iteration cap for the graphical lasso. Lowering it bounds
         worst-case solve time (the service's latency lever); with
         ``resilient`` the ladder absorbs the resulting non-convergence.
-    n_jobs:
-        Worker count for the parallel execution engine
-        (:mod:`repro.parallel`): ``None``/``0``/``1`` = serial, ``-1`` =
-        ``os.cpu_count()`` capped at 8, ``N`` = exactly N workers. The
-        per-attribute transform blocks, the covariance shards and the
-        eBIC λ-grid all fan out; results are **byte-identical** to
-        serial for any value (see ``docs/PARALLEL.md``).
-    parallel_backend:
-        ``"process"`` (default; true multi-core, inputs travel via
-        shared memory), ``"thread"``, or ``"serial"``.
-    parallel_min_rows:
-        Skip spinning up workers for relations with fewer rows than
-        this — pool startup would cost more than it saves. The default
-        ``None`` auto-calibrates the threshold from the recorded
-        ``BENCH_parallel.json`` trajectory (serial-vs-parallel crossover
-        fit; see :mod:`repro.parallel.calibrate`), honoring the
-        ``REPRO_PARALLEL_MIN_ROWS`` environment override and falling
-        back to 4096 rows when no ledger is readable. Set ``0`` to
-        force the configured backend regardless of input size.
     evidence:
         Record the per-FD evidence ledger (:mod:`repro.obs.explain`) in
         ``diagnostics["evidence"]``: precision/partial-correlation
@@ -327,9 +307,6 @@ class FDX:
         resilient: bool = True,
         strict: bool = False,
         glasso_max_iter: int = 100,
-        n_jobs: int | None = None,
-        parallel_backend: str = "process",
-        parallel_min_rows: int | None = None,
         evidence: bool = True,
     ) -> None:
         if transform not in ("circular", "uniform"):
@@ -338,11 +315,6 @@ class FDX:
             raise ValueError("sparsity threshold must be non-negative")
         if glasso_max_iter < 1:
             raise ValueError("glasso_max_iter must be >= 1")
-        if parallel_backend not in BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                f"options: {BACKENDS}"
-            )
         self.lam = lam
         self.sparsity = sparsity
         self.ordering = ordering
@@ -359,40 +331,9 @@ class FDX:
         self.resilient = resilient
         self.strict = strict
         self.glasso_max_iter = glasso_max_iter
-        self.n_jobs = n_jobs
-        self.parallel_backend = parallel_backend
-        self.parallel_min_rows = parallel_min_rows
         self.evidence = evidence
 
-    def _make_executor(self, relation: Relation) -> Executor | None:
-        """Build the run's executor, or ``None`` for the serial path.
-
-        Serial when the knob says so (``n_jobs`` resolves to 1), when the
-        backend is ``"serial"``, or when the relation is too small for
-        pool startup to pay off (``parallel_min_rows``; ``None``
-        resolves through the bench-ledger calibration).
-        """
-        workers = resolve_workers(self.n_jobs)
-        min_rows = self.parallel_min_rows
-        if min_rows is None:
-            from ..parallel.calibrate import calibrated_min_rows
-
-            min_rows = calibrated_min_rows()
-        if (
-            workers <= 1
-            or self.parallel_backend == "serial"
-            or relation.n_rows < min_rows
-        ):
-            return None
-        return make_executor(
-            self.parallel_backend,
-            workers,
-            tracer=self.tracer if self.tracer is not None else None,
-        )
-
-    def transform_relation(
-        self, relation: Relation, executor: Executor | None = None
-    ) -> np.ndarray:
+    def transform_relation(self, relation: Relation) -> np.ndarray:
         """Run the configured tuple-pair transform (exposed for ablation).
 
         With ``center_blocks`` the circular transform's per-attribute
@@ -417,12 +358,50 @@ class FDX:
         samples = pair_difference_transform(
             relation, rng,
             max_rows_per_attribute=self.max_rows_per_attribute,
-            executor=executor,
             **kwargs,
         )
         if self.center_blocks:
             samples = center_within_blocks(samples, relation.n_attributes)
         return samples
+
+    def _diagnostics(
+        self,
+        relation: Relation,
+        input_warnings: list[str],
+        *,
+        degraded: bool,
+        solver_runs: list,
+        lambda_info: dict | None,
+        autoregression: np.ndarray,
+        order: np.ndarray,
+        precision: np.ndarray,
+        n_pair_samples: int,
+        fallback_chain: list,
+    ) -> dict:
+        """The diagnostics every discovery reports, full run or not: the
+        degradation flag, solver health, the evidence ledger, and the
+        fallback chain and input warnings when there are any."""
+        diagnostics = {
+            "degraded": degraded,
+            "solver_health": {"runs": list(solver_runs), "lambda": lambda_info},
+        }
+        if self.evidence:
+            diagnostics["evidence"] = build_evidence(
+                autoregression=autoregression,
+                order=order,
+                names=relation.schema.names,
+                precision=precision,
+                sparsity=self.sparsity,
+                n_pair_samples=n_pair_samples,
+                n_rows=relation.n_rows,
+                lambda_info=lambda_info,
+                fallback_chain=fallback_chain,
+            )
+        if fallback_chain:
+            diagnostics["fallback_chain"] = fallback_chain
+        if input_warnings:
+            diagnostics["input_warnings"] = input_warnings
+        return diagnostics
 
     def discover(self, relation: Relation) -> FDXResult:
         """Discover FDs in ``relation`` (paper Algorithm 1).
@@ -436,134 +415,97 @@ class FDX:
         """
         input_warnings = validate_relation(relation, strict=self.strict)
         cancel_token = current_cancel_token()
+        names = relation.schema.names
         if relation.n_attributes < 2:
-            diagnostics = {
-                "degraded": False,
-                "parallel": {
-                    "backend": "serial", "workers": 1,
-                    "requested": self.n_jobs,
-                    "stages": {},
-                },
-                # Same explainability keys as a full run, so explain
-                # surfaces answer (with empty ledgers) for any input.
-                "solver_health": {"runs": [], "lambda": None},
-            }
-            if self.evidence:
-                diagnostics["evidence"] = build_evidence(
-                    autoregression=np.zeros((relation.n_attributes,) * 2),
-                    order=np.arange(relation.n_attributes),
-                    names=relation.schema.names,
-                    precision=np.eye(relation.n_attributes),
-                    sparsity=self.sparsity,
-                    n_pair_samples=0,
-                    n_rows=relation.n_rows,
-                )
-            if input_warnings:
-                diagnostics["input_warnings"] = input_warnings
+            # Nothing to learn; the same explainability keys as a full
+            # run, so explain surfaces answer (with empty ledgers).
+            p = relation.n_attributes
             return FDXResult(
                 fds=[],
-                attribute_order=relation.schema.names,
-                autoregression=np.zeros((relation.n_attributes,) * 2),
-                precision=np.eye(relation.n_attributes),
-                covariance=np.eye(relation.n_attributes),
+                attribute_order=names,
+                autoregression=np.zeros((p, p)),
+                precision=np.eye(p),
+                covariance=np.eye(p),
                 transform_seconds=0.0,
                 model_seconds=0.0,
                 n_pair_samples=0,
-                diagnostics=diagnostics,
+                diagnostics=self._diagnostics(
+                    relation, input_warnings,
+                    degraded=False,
+                    solver_runs=[],
+                    lambda_info=None,
+                    autoregression=np.zeros((p, p)),
+                    order=np.arange(p),
+                    precision=np.eye(p),
+                    n_pair_samples=0,
+                    fallback_chain=[],
+                ),
             )
         tracer = self.tracer if self.tracer is not None else get_tracer()
         memory = MemoryTracker(enabled=self.track_memory)
         learner = learn_structure_resilient if self.resilient else learn_structure
-        executor = self._make_executor(relation)
         t0 = time.perf_counter()
-        try:
-            with tracer.span(
-                "fdx.discover",
-                n_rows=relation.n_rows,
-                n_attributes=relation.n_attributes,
-            ) as root, memory:
-                with tracer.span("fdx.transform", kind=self.transform), \
-                        memory.stage("transform"):
-                    samples = self.transform_relation(relation, executor=executor)
-                if cancel_token is not None:
-                    cancel_token.raise_if_cancelled()
-                t1 = time.perf_counter()
-                estimate = learner(
-                    samples,
-                    lam=self.lam,
-                    ordering=self.ordering,
-                    shrinkage=self.shrinkage,
-                    assume_centered=self.center_blocks and self.transform == "circular",
-                    estimator=self.estimator,
-                    max_iter=self.glasso_max_iter,
-                    tracer=tracer,
-                    memory=memory,
-                    executor=executor,
+        with tracer.span(
+            "fdx.discover",
+            n_rows=relation.n_rows,
+            n_attributes=relation.n_attributes,
+        ) as root, memory:
+            with tracer.span("fdx.transform", kind=self.transform), \
+                    memory.stage("transform"):
+                samples = self.transform_relation(relation)
+            if cancel_token is not None:
+                cancel_token.raise_if_cancelled()
+            t1 = time.perf_counter()
+            estimate = learner(
+                samples,
+                lam=self.lam,
+                ordering=self.ordering,
+                shrinkage=self.shrinkage,
+                assume_centered=self.center_blocks and self.transform == "circular",
+                estimator=self.estimator,
+                max_iter=self.glasso_max_iter,
+                tracer=tracer,
+                memory=memory,
+            )
+            if cancel_token is not None:
+                cancel_token.raise_if_cancelled()
+            t_gen = time.perf_counter()
+            with tracer.span("fdx.generate_fds", sparsity=self.sparsity), \
+                    memory.stage("fd_generation"):
+                fds = generate_fds(
+                    estimate.autoregression, estimate.order, names,
+                    sparsity=self.sparsity,
                 )
-                if cancel_token is not None:
-                    cancel_token.raise_if_cancelled()
-                names = relation.schema.names
-                t_gen = time.perf_counter()
-                with tracer.span("fdx.generate_fds", sparsity=self.sparsity), \
-                        memory.stage("fd_generation"):
-                    fds = generate_fds(
-                        estimate.autoregression, estimate.order, names,
-                        sparsity=self.sparsity,
-                    )
-                t2 = time.perf_counter()
-                root.set_attributes(
-                    n_fds=len(fds),
-                    n_pair_samples=int(samples.shape[0]),
-                    glasso_iterations=estimate.glasso_iterations,
-                )
-        finally:
-            if executor is not None:
-                executor.close()
+            t2 = time.perf_counter()
+            root.set_attributes(
+                n_fds=len(fds),
+                n_pair_samples=int(samples.shape[0]),
+                glasso_iterations=estimate.glasso_iterations,
+            )
         stage_seconds = {
             "transform": t1 - t0,
             **estimate.stage_seconds,
             "fd_generation": t2 - t_gen,
         }
+        # Evidence is built outside the timed stages: the ledger reads
+        # the fitted model, it is not part of the pipeline's budget.
         diagnostics = {
             "glasso_iterations": estimate.glasso_iterations,
             "glasso_converged": estimate.glasso_converged,
             "final_objective": estimate.glasso_objective,
             "stage_seconds": stage_seconds,
-            "degraded": estimate.degraded,
-            # Always present (same diagnostics keys for every n_jobs) so
-            # results are comparable across serial and parallel runs.
-            "parallel": {
-                "backend": executor.backend if executor is not None else "serial",
-                "workers": executor.workers if executor is not None else 1,
-                "requested": self.n_jobs,
-                "stages": (
-                    executor.stage_stats_snapshot()
-                    if executor is not None else {}
-                ),
-            },
-            "solver_health": {
-                "runs": list(estimate.solver_runs),
-                "lambda": estimate.lambda_info,
-            },
-        }
-        if self.evidence:
-            # Built outside the timed stages: the ledger reads the fitted
-            # model, it is not part of the discovery pipeline's budget.
-            diagnostics["evidence"] = build_evidence(
+            **self._diagnostics(
+                relation, input_warnings,
+                degraded=estimate.degraded,
+                solver_runs=estimate.solver_runs,
+                lambda_info=estimate.lambda_info,
                 autoregression=estimate.autoregression,
                 order=estimate.order,
-                names=names,
                 precision=estimate.precision,
-                sparsity=self.sparsity,
                 n_pair_samples=int(samples.shape[0]),
-                n_rows=relation.n_rows,
-                lambda_info=estimate.lambda_info,
                 fallback_chain=estimate.fallback_chain,
-            )
-        if estimate.fallback_chain:
-            diagnostics["fallback_chain"] = estimate.fallback_chain
-        if input_warnings:
-            diagnostics["input_warnings"] = input_warnings
+            ),
+        }
         if memory.enabled:
             diagnostics["stage_bytes"] = dict(memory.stage_bytes)
         if estimate.glasso_trace is not None:

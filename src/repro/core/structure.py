@@ -63,7 +63,7 @@ class StructureEstimate:
     #: One plain-value record per solve (every fallback rung included):
     #: estimator, λ, iterations, convergence, objective, duality gap,
     #: active-set size, input condition number, warm/cold start. No
-    #: wall-clock fields — records are identical across backends.
+    #: wall-clock fields — records are identical across repeated runs.
     solver_runs: list = field(default_factory=list)
 
     @property
@@ -98,7 +98,6 @@ def learn_structure(
     precondition: bool = False,
     tracer: Tracer | None = None,
     memory: MemoryTracker | None = None,
-    executor=None,
     warm_start: np.ndarray | None = None,
 ) -> StructureEstimate:
     """Estimate the ordered linear-SEM structure of ``samples``.
@@ -147,11 +146,6 @@ def learn_structure(
         when enabled, records ``covariance`` / ``glasso`` /
         ``factorization`` entries in ``stage_bytes``. Defaults to a
         disabled no-op tracker.
-    executor:
-        Optional :class:`repro.parallel.Executor` sharding the empirical
-        covariance and the eBIC λ-grid across workers. Results are
-        byte-identical to the serial path for any backend/worker count
-        (fixed chunk boundaries, fixed merge order).
     warm_start:
         Optional previous precision matrix handed to the graphical lasso
         as its ``Theta0`` initialization (streaming refreshes re-solve
@@ -194,7 +188,7 @@ def learn_structure(
             memory.stage("covariance"):
         if covariance == "empirical":
             S = empirical_covariance_chunked(
-                samples, assume_centered=assume_centered, executor=executor
+                samples, assume_centered=assume_centered
             )
         elif covariance == "trimmed":
             from ..linalg.robust import trimmed_covariance
@@ -221,9 +215,7 @@ def learn_structure(
                 raise ValueError(f"unknown penalty rule {lam!r}; use a float or 'ebic'")
             from ..linalg.model_selection import select_lambda_ebic
 
-            selection = select_lambda_ebic(
-                S, n_samples=samples.shape[0], executor=executor
-            )
+            selection = select_lambda_ebic(S, n_samples=samples.shape[0])
             grid = [float(g) for g in selection.scores]
             lam = selection.best_lambda
             lambda_info = {
@@ -365,7 +357,6 @@ def learn_structure_resilient(
     max_iter: int = 100,
     tracer: Tracer | None = None,
     memory: MemoryTracker | None = None,
-    executor=None,
     warm_start: np.ndarray | None = None,
 ) -> StructureEstimate:
     """:func:`learn_structure` behind a graceful-degradation ladder.
@@ -421,7 +412,6 @@ def learn_structure_resilient(
                 max_iter=max_iter,
                 tracer=tracer,
                 memory=memory,
-                executor=executor,
                 warm_start=warm_start if stage == "configured" else None,
                 **overrides,
             )

@@ -17,33 +17,22 @@ token-set Jaccard overlap for text. Missing cells never agree with
 anything (including other missing cells), reflecting the paper's treatment
 of missing values as errors.
 
-Performance notes:
-
-* Agreement vectors are ``uint8`` end to end; the single ``float64``
-  cast happens at covariance time (``center_within_blocks`` or the
-  structure learner's input normalization), which halves the transform's
-  memory traffic versus materializing ``float64`` agreements per block.
-* The per-attribute blocks are independent, so the transform shards
-  across an :class:`repro.parallel.Executor`: columns are encoded once
-  into a picklable form, shipped to process workers zero-copy through a
-  :class:`repro.parallel.SharedRelation`, and each worker rebuilds its
-  codecs with the *same* :func:`_codec_from_encoded` the serial path
-  uses — which is why parallel output is byte-identical to serial
-  (asserted in ``tests/test_parallel_parity.py``).
+Performance note: agreement vectors are ``uint8`` end to end; the
+single ``float64`` cast happens at covariance time
+(``center_within_blocks`` or the structure learner's input
+normalization), which halves the transform's memory traffic versus
+materializing ``float64`` agreements per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from ..dataset.relation import Relation, is_missing
 from ..dataset.schema import AttributeType
-from ..parallel.executor import Executor
-from ..parallel.shared import SharedRelation, attach_columns
 
 #: Fraction of a numeric column's standard deviation within which two
 #: numeric values are considered equal.
@@ -68,26 +57,17 @@ class ColumnCodec:
     sort_key: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# Column encoding: a picklable/shareable intermediate form.
-#
-# ``encode_relation`` produces one dict per column; numpy payloads in these
-# dicts are what ``SharedRelation`` places in shared memory. Codecs — for
-# the serial path and for workers alike — are built from this form by
-# ``_codec_from_encoded``, the single source of agreement semantics.
-# ---------------------------------------------------------------------------
-
-
 def _tokenize(value: object) -> frozenset[str]:
     return frozenset(str(value).lower().split())
 
 
-def _encode_column(
+def _column_codec(
     column: np.ndarray,
     dtype: AttributeType,
     numeric_tolerance: float,
     text_jaccard: float,
-) -> dict[str, Any]:
+) -> ColumnCodec:
+    """Encode one column and pair it with its type's comparator."""
     if dtype is AttributeType.NUMERIC:
         vals = np.array(
             [float(v) if not is_missing(v) else np.nan for v in column],
@@ -96,51 +76,6 @@ def _encode_column(
         finite = vals[~np.isnan(vals)]
         scale = float(np.std(finite)) if finite.size else 0.0
         tol = numeric_tolerance * scale if scale > 0 else 0.0
-        return {"kind": "numeric", "values": vals, "tol": tol}
-    if dtype is AttributeType.TEXT:
-        tokens = [None if is_missing(v) else _tokenize(v) for v in column]
-        return {"kind": "text", "tokens": tokens, "jaccard": text_jaccard}
-    domain = sorted({v for v in column if not is_missing(v)}, key=repr)
-    code_of = {v: c for c, v in enumerate(domain)}
-    codes = np.array(
-        [code_of[v] if not is_missing(v) else -1 for v in column], dtype=np.int64
-    )
-    return {"kind": "categorical", "codes": codes}
-
-
-def encode_relation(
-    relation: Relation,
-    numeric_tolerance: float = DEFAULT_NUMERIC_TOLERANCE,
-    text_jaccard: float = DEFAULT_TEXT_JACCARD,
-) -> list[dict[str, Any]]:
-    """Encode every column into the shareable intermediate form."""
-    return [
-        _encode_column(
-            relation.column(attr.name), attr.dtype, numeric_tolerance, text_jaccard
-        )
-        for attr in relation.schema
-    ]
-
-
-def _codec_from_encoded(encoded: dict[str, Any]) -> ColumnCodec:
-    """Build a :class:`ColumnCodec` from one encoded column.
-
-    Serial path and process workers both come through here, on data that
-    round-trips shared memory bit-exactly — the foundation of the
-    serial/parallel parity guarantee.
-    """
-    kind = encoded["kind"]
-    if kind == "categorical":
-        codes = np.asarray(encoded["codes"])
-
-        def agree_cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return ((a == b) & (a >= 0)).astype(np.uint8)
-
-        return ColumnCodec(values=codes, agree=agree_cat, sort_key=codes)
-
-    if kind == "numeric":
-        vals = np.asarray(encoded["values"])
-        tol = encoded["tol"]
 
         def agree_num(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             both = ~np.isnan(a) & ~np.isnan(b)
@@ -151,29 +86,40 @@ def _codec_from_encoded(encoded: dict[str, Any]) -> ColumnCodec:
         # Sort key: NaNs last (argsort on float puts NaN last already).
         return ColumnCodec(values=vals, agree=agree_num, sort_key=vals)
 
-    jaccard = encoded["jaccard"]
-    tokens = np.empty(len(encoded["tokens"]), dtype=object)
-    for i, t in enumerate(encoded["tokens"]):
-        tokens[i] = t
+    if dtype is AttributeType.TEXT:
+        tokens = np.empty(len(column), dtype=object)
+        for i, v in enumerate(column):
+            tokens[i] = None if is_missing(v) else _tokenize(v)
 
-    def agree_text(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape[0], dtype=np.uint8)
-        for i in range(a.shape[0]):
-            sa, sb = a[i], b[i]
-            if sa is None or sb is None:
-                continue
-            if not sa and not sb:
-                out[i] = 1
-                continue
-            union = len(sa | sb)
-            if union and len(sa & sb) / union >= jaccard:
-                out[i] = 1
-        return out
+        def agree_text(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = np.zeros(a.shape[0], dtype=np.uint8)
+            for i in range(a.shape[0]):
+                sa, sb = a[i], b[i]
+                if sa is None or sb is None:
+                    continue
+                if not sa and not sb:
+                    out[i] = 1
+                    continue
+                union = len(sa | sb)
+                if union and len(sa & sb) / union >= text_jaccard:
+                    out[i] = 1
+            return out
 
-    sort_key = np.array(
-        [" ".join(sorted(t)) if t is not None else "￿" for t in tokens]
+        sort_key = np.array(
+            [" ".join(sorted(t)) if t is not None else "\uffff" for t in tokens]
+        )
+        return ColumnCodec(values=tokens, agree=agree_text, sort_key=sort_key)
+
+    domain = sorted({v for v in column if not is_missing(v)}, key=repr)
+    code_of = {v: c for c, v in enumerate(domain)}
+    codes = np.array(
+        [code_of[v] if not is_missing(v) else -1 for v in column], dtype=np.int64
     )
-    return ColumnCodec(values=tokens, agree=agree_text, sort_key=sort_key)
+
+    def agree_cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return ((a == b) & (a >= 0)).astype(np.uint8)
+
+    return ColumnCodec(values=codes, agree=agree_cat, sort_key=codes)
 
 
 def build_codecs(
@@ -183,10 +129,10 @@ def build_codecs(
 ) -> list[ColumnCodec]:
     """Encode every column of ``relation`` with its type's comparator."""
     return [
-        _codec_from_encoded(enc)
-        for enc in encode_relation(
-            relation, numeric_tolerance=numeric_tolerance, text_jaccard=text_jaccard
+        _column_codec(
+            relation.column(attr.name), attr.dtype, numeric_tolerance, text_jaccard
         )
+        for attr in relation.schema
     ]
 
 
@@ -208,30 +154,12 @@ def _agreement_block(codecs: list[ColumnCodec], i: int) -> np.ndarray:
     return block
 
 
-#: Worker-side codec cache: shared-segment name -> rebuilt codecs, so a
-#: pool worker decodes the relation once per map, not once per block.
-_WORKER_CODECS: dict[str, list[ColumnCodec]] = {}
-
-
-def _block_task(spec: dict[str, Any], i: int) -> np.ndarray:
-    """Process-worker task: rebuild codecs from shared memory, emit block ``i``."""
-    key = spec["shm"]
-    codecs = _WORKER_CODECS.get(key)
-    if codecs is None:
-        if len(_WORKER_CODECS) >= 8:  # ephemeral segments; bound the cache
-            _WORKER_CODECS.clear()
-        codecs = [_codec_from_encoded(col) for col in attach_columns(spec)]
-        _WORKER_CODECS[key] = codecs
-    return _agreement_block(codecs, i)
-
-
 def pair_difference_transform(
     relation: Relation,
     rng: np.random.Generator | None = None,
     numeric_tolerance: float = DEFAULT_NUMERIC_TOLERANCE,
     text_jaccard: float = DEFAULT_TEXT_JACCARD,
     max_rows_per_attribute: int | None = None,
-    executor: Executor | None = None,
 ) -> np.ndarray:
     """Algorithm 2: sorted circular-shift tuple-pair agreement sample.
 
@@ -239,11 +167,6 @@ def pair_difference_transform(
     ``n_pairs = n * k`` (or ``min(n, max_rows_per_attribute) * k`` when the
     per-attribute row cap is set — the sampling speed-up the paper mentions
     for large relations such as NYPD).
-
-    With an ``executor``, the ``k`` per-attribute blocks are computed in
-    parallel (process workers read the encoded relation zero-copy from
-    shared memory); output is byte-identical to the serial path for any
-    backend and worker count.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -254,22 +177,12 @@ def pair_difference_transform(
     if max_rows_per_attribute is not None and max_rows_per_attribute < n:
         shuffled = shuffled.head(max_rows_per_attribute)
         n = shuffled.n_rows
-    encoded = encode_relation(
+    codecs = build_codecs(
         shuffled, numeric_tolerance=numeric_tolerance, text_jaccard=text_jaccard
     )
-    codecs = [_codec_from_encoded(col) for col in encoded]
-    if executor is None or executor.backend == "serial":
-        blocks = [_agreement_block(codecs, i) for i in range(k)]
-    elif executor.backend == "process":
-        with SharedRelation(encoded) as shared:
-            blocks = executor.map(
-                partial(_block_task, shared.spec), range(k), label="transform"
-            )
-    else:  # thread backend: no pickling, hand codecs over directly
-        blocks = executor.map(
-            partial(_agreement_block, codecs), range(k), label="transform"
-        )
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate(
+        [_agreement_block(codecs, i) for i in range(k)], axis=0
+    )
 
 
 def center_within_blocks(samples: np.ndarray, n_blocks: int) -> np.ndarray:

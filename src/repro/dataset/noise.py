@@ -79,7 +79,9 @@ class RandomFlipNoise:
         cells = _choose_cells(relation.n_rows, names, self.rate, rng)
         columns = {n: relation.column(n) for n in relation.schema.names}
         domains = {n: relation.domain(n) for n in names}
-        for (i, name) in cells:
+        # Sorted, not set order: the rng draws one value per cell, and set
+        # iteration order follows the string hash, which varies per process.
+        for (i, name) in sorted(cells):
             domain = domains[name]
             current = columns[name][i]
             if len(domain) <= 1:

@@ -81,20 +81,14 @@ class OrderedFactorization:
         the matrix visualized in the paper's heatmaps (Figures 3 and 5).
         """
         p = self.U.shape[0]
-        B = self.autoregression
-        out = np.zeros_like(B)
         inv = np.empty(p, dtype=int)
         inv[self.order] = np.arange(p)
-        for i in range(p):
-            for j in range(p):
-                out[i, j] = B[inv[i], inv[j]]
-        return out
+        return self.autoregression[np.ix_(inv, inv)]
 
     def reconstruct(self) -> np.ndarray:
         """Re-assemble ``Theta`` (in original variable order) from factors."""
         theta_perm = self.U @ np.diag(self.d) @ self.U.T
         p = self.U.shape[0]
-        out = np.zeros_like(theta_perm)
         inv = np.empty(p, dtype=int)
         inv[self.order] = np.arange(p)
         return theta_perm[np.ix_(inv, inv)]

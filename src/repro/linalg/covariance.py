@@ -10,16 +10,11 @@ insensitive to mean corruption by outliers.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from ..parallel.shared import SharedArray, attach_array
-
-#: Fixed row-chunk size for the sharded second-moment estimator. The
-#: boundaries depend only on this constant and ``n`` — never on the
-#: worker count — which is one half of the bitwise-determinism contract
-#: (the other half is the fixed left-fold merge order).
+#: Fixed row-chunk size for the chunked second-moment estimator. The
+#: boundaries depend only on this constant and ``n``, and partials fold
+#: in chunk order, so the result is a fixed function of the input.
 DEFAULT_CHUNK_ROWS = 8192
 
 
@@ -45,13 +40,11 @@ def empirical_covariance(X: np.ndarray, assume_centered: bool = False) -> np.nda
 class CovarianceAccumulator:
     """Exactly-mergeable second-moment partials over row shards.
 
-    Workers each reduce a row chunk to ``(n, Σx, XᵀX)``; partials merge
-    by plain addition. Merging is deliberately *order-sensitive*
-    (floating-point addition is not associative), so callers must fold
-    partials in a fixed order — chunk index order — to obtain the
-    bitwise-deterministic guarantee of
-    :func:`empirical_covariance_chunked`. The accumulator is a plain
-    triple of numpy payloads and pickles cheaply across processes.
+    Each row chunk reduces to ``(n, Σx, XᵀX)``; partials merge by plain
+    addition. Merging is *order-sensitive* (floating-point addition is
+    not associative), so callers fold partials in a fixed order — chunk
+    index order in :func:`empirical_covariance_chunked`, arrival order
+    in the streaming drift window and catalog sampling.
     """
 
     __slots__ = ("n_rows", "col_sum", "second_moment")
@@ -93,7 +86,7 @@ def chunk_bounds(
     n_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> list[tuple[int, int]]:
     """Fixed ``[start, stop)`` row shards — a function of ``n_rows`` and
-    ``chunk_rows`` only, never of the worker count."""
+    ``chunk_rows`` only."""
     chunk_rows = max(1, int(chunk_rows))
     return [
         (start, min(start + chunk_rows, n_rows))
@@ -101,40 +94,23 @@ def chunk_bounds(
     ]
 
 
-def _shard_moment(X: np.ndarray, bounds: tuple[int, int]) -> CovarianceAccumulator:
-    """Serial/thread shard task over an in-process array."""
-    start, stop = bounds
-    return CovarianceAccumulator.from_rows(X[start:stop])
-
-
-def _shared_shard_moment(spec: dict, bounds: tuple[int, int]) -> CovarianceAccumulator:
-    """Process-worker shard task: read the matrix zero-copy from shared
-    memory (attachment is cached per segment) and reduce one chunk."""
-    start, stop = bounds
-    return CovarianceAccumulator.from_rows(attach_array(spec)[start:stop])
-
-
 def empirical_covariance_chunked(
     X: np.ndarray,
     assume_centered: bool = False,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    executor=None,
 ) -> np.ndarray:
-    """Sharded second-moment estimator with a bitwise-determinism contract.
+    """Second-moment estimator folded over fixed row chunks.
 
     The rows of ``X`` are split at fixed boundaries
-    (:func:`chunk_bounds`), each shard reduces to a
+    (:func:`chunk_bounds`), each chunk reduces to a
     :class:`CovarianceAccumulator`, and partials merge left-to-right in
-    chunk order — so the result is byte-identical for any worker count
-    and any backend (the per-shard GEMMs see the same contiguous float64
-    blocks whether sliced locally or viewed through shared memory).
+    chunk order.
 
-    A single shard (``n <= chunk_rows``) falls back to the one-GEMM
+    A single chunk (``n <= chunk_rows``) falls back to the one-GEMM
     :func:`empirical_covariance`, making this a drop-in replacement on
-    small inputs. Note the multi-shard result is *not* bit-identical to
-    the single-GEMM path (blocked summation rounds differently); what is
-    guaranteed is invariance across worker counts at fixed
-    ``chunk_rows``.
+    small inputs. The multi-chunk result is *not* bit-identical to the
+    single-GEMM path (blocked summation rounds differently); it agrees
+    to floating-point tolerance.
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -145,25 +121,10 @@ def empirical_covariance_chunked(
     bounds = chunk_bounds(n, chunk_rows)
     if len(bounds) <= 1:
         return empirical_covariance(X, assume_centered=assume_centered)
-    if executor is None or executor.backend == "serial":
-        accumulated = _shard_moment(X, bounds[0])
-        for shard in bounds[1:]:
-            accumulated = accumulated.merge(_shard_moment(X, shard))
-    elif executor.backend == "process":
-        with SharedArray(np.ascontiguousarray(X)) as shared:
-            accumulated = executor.map_reduce(
-                partial(_shared_shard_moment, shared.spec),
-                bounds,
-                CovarianceAccumulator.merge,
-                label="covariance",
-            )
-    else:  # thread backend: workers read the parent's array directly
-        accumulated = executor.map_reduce(
-            partial(_shard_moment, X),
-            bounds,
-            CovarianceAccumulator.merge,
-            label="covariance",
-        )
+    (start, stop), *rest = bounds
+    accumulated = CovarianceAccumulator.from_rows(X[start:stop])
+    for start, stop in rest:
+        accumulated.merge(CovarianceAccumulator.from_rows(X[start:stop]))
     return accumulated.covariance(assume_centered=assume_centered)
 
 

@@ -15,7 +15,6 @@ standard high-dimensional default). ``FDX(lam="ebic")`` uses this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class LambdaSelection:
     ``fits`` carries one plain-value record per grid point — iterations,
     convergence, objective, duality gap, active-set size — the raw
     material of the λ-path solver telemetry
-    (``diagnostics["solver_health"]``). Serial and executor paths produce
-    identical records: they are computed from the same glasso results.
+    (``diagnostics["solver_health"]``).
     """
 
     best_lambda: float
@@ -110,84 +108,42 @@ def _finite_or_none(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def _support_task(S: np.ndarray, lam: float) -> tuple[np.ndarray, dict]:
-    """One grid point's glasso fit: (support, plain-value fit record)."""
-    result = graphical_lasso(S, lam)
-    support = result.support | np.eye(S.shape[0], dtype=bool)
-    fit = {
-        "n_edges": int(result.support.sum()) // 2,
-        "iterations": int(result.n_iter),
-        "converged": bool(result.converged),
-        "objective": _finite_or_none(result.objective),
-        "duality_gap": _finite_or_none(result.dual_gap),
-    }
-    return support, fit
-
-
-def _refit_ebic_task(
-    S: np.ndarray, n_samples: int, gamma: float, support: np.ndarray
-) -> float:
-    """Refit one unique support and score it."""
-    refit = constrained_mle(S, support)
-    return ebic_score(S, refit, n_samples, gamma=gamma)
-
-
 def select_lambda_ebic(
     S: np.ndarray,
     n_samples: int,
     grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     gamma: float = 0.5,
-    executor=None,
 ) -> LambdaSelection:
     """Pick the graphical-lasso penalty minimizing the *refit* eBIC.
 
     For each penalty: estimate the support with the graphical lasso,
     refit the support-constrained MLE, and score that refit — so the
-    criterion compares supports rather than shrinkage levels.
-
-    With an ``executor``, the independent glasso fits run in parallel,
-    supports are deduplicated in grid order (same first-seen order as the
-    serial loop), and the unique refits run in parallel — every scored
-    quantity is computed by the same function on the same inputs as the
-    serial path, so the selection is identical for any backend.
+    criterion compares supports rather than shrinkage levels. Penalties
+    that select an already-seen support reuse its score instead of
+    refitting.
     """
     if not grid:
         raise ValueError("penalty grid must be non-empty")
     scores: dict[float, float] = {}
     edges: dict[float, int] = {}
     fit_records: dict[float, dict] = {}
-    if executor is None or executor.backend == "serial":
-        seen_supports: dict[bytes, float] = {}
-        for lam in grid:
-            support, fit = _support_task(S, lam)
-            key = np.packbits(support).tobytes()
-            if key in seen_supports:
-                scores[lam] = seen_supports[key]
-            else:
-                scores[lam] = _refit_ebic_task(S, n_samples, gamma, support)
-                seen_supports[key] = scores[lam]
-            edges[lam] = fit["n_edges"]
-            fit_records[lam] = fit
-    else:
-        fits = executor.map(
-            partial(_support_task, S), list(grid), label="ebic_fit"
-        )
-        unique: dict[bytes, np.ndarray] = {}
-        lam_keys: list[bytes] = []
-        for lam, (support, fit) in zip(grid, fits):
-            key = np.packbits(support).tobytes()
-            unique.setdefault(key, support)
-            lam_keys.append(key)
-            edges[lam] = fit["n_edges"]
-            fit_records[lam] = fit
-        unique_scores = executor.map(
-            partial(_refit_ebic_task, S, n_samples, gamma),
-            list(unique.values()),
-            label="ebic_refit",
-        )
-        score_of = dict(zip(unique.keys(), unique_scores))
-        for lam, key in zip(grid, lam_keys):
-            scores[lam] = score_of[key]
+    seen_supports: dict[bytes, float] = {}
+    for lam in grid:
+        result = graphical_lasso(S, lam)
+        support = result.support | np.eye(S.shape[0], dtype=bool)
+        key = np.packbits(support).tobytes()
+        if key not in seen_supports:
+            refit = constrained_mle(S, support)
+            seen_supports[key] = ebic_score(S, refit, n_samples, gamma=gamma)
+        scores[lam] = seen_supports[key]
+        edges[lam] = int(result.support.sum()) // 2
+        fit_records[lam] = {
+            "n_edges": edges[lam],
+            "iterations": int(result.n_iter),
+            "converged": bool(result.converged),
+            "objective": _finite_or_none(result.objective),
+            "duality_gap": _finite_or_none(result.dual_gap),
+        }
     best = min(scores, key=lambda lam: (scores[lam], lam))
     return LambdaSelection(
         best_lambda=best, scores=scores, n_edges=edges, fits=fit_records

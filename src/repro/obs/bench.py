@@ -10,12 +10,11 @@ robust statistical comparison against the recorded trajectory:
   ``micro`` times the pipeline hot paths (pair transform, graphical
   lasso, UDU factorization), ``scalability`` times end-to-end
   ``FDX.discover`` across attribute counts, ``service`` boots an
-  in-process server to time the cold vs. cache-hit round trip, and
+  in-process server to time the cold vs. cache-hit round trip,
   ``resilience`` prices the robustness layer (disabled fault-injection
   hooks, retry wrapper overhead, a fallback-ladder-engaged discovery),
-  and ``parallel`` times the sharded transform+covariance stages serial
-  vs. process-parallel (speedup case) and with the executor machinery
-  engaged at one worker (overhead case), and ``streaming`` times the
+  ``catalog`` times whole-catalog sweeps serial vs. process table
+  fan-out plus the sampling pass, and ``streaming`` times the
   session append path, the cold vs. warm-started refresh solve (the
   ledger exposes the warm-start win) and a checkpoint round trip.
 * **Ledger** — each run appends one record (per-benchmark median
@@ -383,51 +382,6 @@ def _case_fallback_ladder(smoke: bool) -> Callable[[], object]:
     return run
 
 
-def _parallel_stage_case(
-    backend: str, workers: int
-) -> Callable[[bool], Callable[[], object]]:
-    """Sharded transform + chunked covariance on a large synthetic relation.
-
-    The three instances share one workload so the ledger exposes the
-    speedup (serial vs. ``process``/4) and the overhead (serial vs. the
-    executor machinery at one worker — ``make_executor`` collapses a
-    single-worker request to the serial executor, so this prices the
-    map/metrics plumbing alone). Speedup is read off the ledger, not
-    asserted here: on a single-core host the 4-worker case can only tie.
-    """
-
-    def make(smoke: bool) -> Callable[[], object]:
-        import numpy as np
-
-        from ..core.transform import center_within_blocks, pair_difference_transform
-        from ..datagen.synthetic import SyntheticSpec, generate
-        from ..linalg.covariance import empirical_covariance_chunked
-        from ..parallel import make_executor
-
-        n, p = (4000, 8) if smoke else (50_000, 10)
-        ds = generate(SyntheticSpec(n_tuples=n, n_attributes=p, seed=0))
-
-        def run():
-            executor = (
-                make_executor(backend, workers) if backend != "serial" else None
-            )
-            try:
-                samples = pair_difference_transform(
-                    ds.relation, np.random.default_rng(0), executor=executor
-                )
-                X = center_within_blocks(samples, p)
-                return empirical_covariance_chunked(
-                    X, assume_centered=True, executor=executor
-                )
-            finally:
-                if executor is not None:
-                    executor.close()
-
-        return run
-
-    return make
-
-
 def _streaming_relation(n: int, p: int, seed: int = 0):
     import numpy as np
 
@@ -578,10 +532,9 @@ def _catalog_sweep_case(
     """Whole-catalog sweep, serial vs process table fan-out.
 
     The smoke variant sweeps 3 small tables; the full variant the
-    8-table catalog the acceptance ledger tracks. As with the parallel
-    suite, speedup is read off the ledger, not asserted: on a
-    single-core host the process backend pays one child per table with
-    no parallel hardware to win it back.
+    8-table catalog the acceptance ledger tracks. Speedup is read off
+    the ledger, not asserted: on a single-core host the process backend
+    pays one child per table with no parallel hardware to win it back.
     """
 
     def make(smoke: bool) -> Callable[[], object]:
@@ -646,13 +599,6 @@ SUITES: dict[str, tuple[BenchCase, ...]] = {
         BenchCase("fault_hook_disabled", _case_fault_hook_disabled),
         BenchCase("retry_call_noop", _case_retry_noop),
         BenchCase("fallback_ladder_discover", _case_fallback_ladder),
-    ),
-    "parallel": (
-        BenchCase("transform_cov_serial", _parallel_stage_case("serial", 1)),
-        BenchCase("transform_cov_overhead_1worker",
-                  _parallel_stage_case("process", 1)),
-        BenchCase("transform_cov_process_4workers",
-                  _parallel_stage_case("process", 4)),
     ),
     "catalog": (
         BenchCase("sweep_serial_8tables", _catalog_sweep_case("serial", 1)),

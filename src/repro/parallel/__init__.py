@@ -1,63 +1,25 @@
-"""`repro.parallel`: stdlib-only parallel execution engine.
+"""`repro.parallel`: stdlib-only isolation and fan-out helpers.
 
-The ROADMAP's "fast as the hardware allows" layer: FDX's pipeline is
-embarrassingly parallel exactly where the paper says cost concentrates
-(per-attribute Alg. 2 transform blocks, per-shard ``XᵀX`` covariance
-partials, independent EBIC λ-grid glasso fits), and this package turns
-that structure into wall-clock speedup without adding a dependency:
+FDX discovery is one serial pipeline; this package serves the layers
+around it:
 
-* :mod:`~repro.parallel.executor` — the :class:`Executor` abstraction
-  (``serial`` / ``thread`` / ``process`` backends) with an
-  order-preserving ``map`` and a left-fold ``map_reduce`` whose fixed
-  reduction order makes floating-point results bitwise-deterministic
-  for any worker count;
-* :mod:`~repro.parallel.shared` — :class:`SharedArray` /
-  :class:`SharedRelation`, zero-copy transport of numpy payloads to
-  process workers via ``multiprocessing.shared_memory`` with
-  parent-owned lifecycle (context managers + atexit sweep, worker-side
-  resource-tracker unregistration);
 * :mod:`~repro.parallel.worker` — :func:`run_in_process`, a supervised
   one-job-one-process runner with sentinel-relayed cancellation and an
   escalating SIGTERM/SIGKILL teardown; the backbone of the service's
-  ``executor="process"`` mode.
+  ``executor="process"`` mode and the catalog's ``--backend process``;
+* :mod:`~repro.parallel.executor` — :class:`ThreadExecutor`, the
+  order-preserving, cancellable thread ``map`` behind the catalog's
+  per-table fan-out.
 
-Everything reports through :mod:`repro.obs` (``parallel.map`` spans,
-``parallel_tasks_total`` / ``parallel_worker_seconds`` metrics) and the
-typed failure modes live in :mod:`repro.errors`
+Both report through :mod:`repro.obs` (``parallel.map`` / ``worker.job``
+spans, ``parallel_tasks_total`` / ``parallel_worker_seconds`` metrics)
+and the typed failure modes live in :mod:`repro.errors`
 (:class:`~repro.errors.WorkerCrashError`,
 :class:`~repro.errors.TaskTimeoutError`,
 :class:`~repro.errors.RemoteTaskError`). See ``docs/PARALLEL.md``.
 """
 
-from .executor import (
-    BACKENDS,
-    DEFAULT_WORKERS_CAP,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_workers,
-    make_executor,
-    preferred_start_method,
-    resolve_workers,
-)
-from .shared import SharedArray, SharedRelation, attach_array, attach_columns
+from .executor import ThreadExecutor, preferred_start_method
 from .worker import run_in_process
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_WORKERS_CAP",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "SharedArray",
-    "SharedRelation",
-    "ThreadExecutor",
-    "attach_array",
-    "attach_columns",
-    "default_workers",
-    "make_executor",
-    "preferred_start_method",
-    "resolve_workers",
-    "run_in_process",
-]
+__all__ = ["ThreadExecutor", "preferred_start_method", "run_in_process"]

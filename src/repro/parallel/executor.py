@@ -1,93 +1,46 @@
-"""The execution engine: one map-reduce API over three backends.
+"""Thread fan-out: an order-preserving, cancellable, traced ``map``.
 
-An :class:`Executor` runs independent tasks and returns their results in
-submission order. Three interchangeable backends:
+:class:`ThreadExecutor` runs independent tasks on a
+``ThreadPoolExecutor`` and returns their results in submission order.
+The catalog sweep uses it to fan tables out (see
+:mod:`repro.catalog.sweep`); discovery itself is one serial pipeline.
 
-* ``serial`` — runs tasks inline. The zero-overhead reference backend;
-  every parallel code path must produce byte-identical results to it.
-* ``thread`` — a ``ThreadPoolExecutor``. Useful for tasks that release
-  the GIL (large numpy kernels) and as a low-overhead testing backend;
-  no pickling, tasks may be closures.
-* ``process`` — a ``ProcessPoolExecutor`` on the platform's preferred
-  start method (``fork`` where available, else ``spawn``). Task
-  callables must be picklable (module-level functions or
-  ``functools.partial`` of them); large inputs should travel through
-  :mod:`repro.parallel.shared` rather than pickles.
-
-Shared semantics across backends:
-
-* **ordering** — ``map`` preserves item order; ``map_reduce`` folds the
-  results left-to-right in item order, so floating-point reductions are
-  bitwise-deterministic regardless of worker count or scheduling.
+* **ordering** — ``map`` preserves item order.
 * **cancellation** — the :class:`~repro.resilience.CancelToken` in the
   calling context (or one passed explicitly) is polled while waiting;
   a set token abandons pending tasks and raises
   :class:`~repro.resilience.CancelledError`.
 * **timeouts** — ``timeout`` bounds the whole map call;
-  :class:`repro.errors.TaskTimeoutError` is raised on expiry. Process
-  workers are torn down with the pool; threads cannot be interrupted
-  (documented stdlib limitation) and are abandoned.
-* **crash isolation** — a worker process dying (killed, OOM, the
-  ``parallel.worker_crash`` fault injection point) surfaces as a typed
-  :class:`repro.errors.WorkerCrashError`, never a hang, and the pool is
-  rebuilt for the next call.
+  :class:`repro.errors.TaskTimeoutError` is raised on expiry. Threads
+  cannot be interrupted (documented stdlib limitation) and are
+  abandoned.
 * **observability** — every map emits a ``parallel.map`` span with one
-  ``parallel.task`` child per item on every backend, and records
-  ``parallel_tasks_total`` / ``parallel_worker_seconds`` (per-task,
-  worker-measured) into the wired
-  :class:`~repro.obs.MetricsRegistry`. Traces are stitched across the
-  process boundary: process tasks carry a ``(trace_id, parent span
-  id)`` envelope, the child re-installs it (and an enabled local
-  tracer) via :func:`~repro.obs.trace.set_trace_context`, and the
-  worker-side span buffer ships back with the result to be re-attached
-  under the parent's ``parallel.map`` span — one trace covers both
-  sides.
+  ``parallel.task`` child per item, and records
+  ``parallel_tasks_total`` / ``parallel_worker_seconds`` (per task)
+  into the wired :class:`~repro.obs.MetricsRegistry`. Each task runs in
+  a copy of the submitting context, so its span nests under the map
+  span although it closes on a pool thread.
+
+:func:`preferred_start_method` and :data:`POLL_INTERVAL` are shared
+with the supervised one-job-one-process runner in
+:mod:`repro.parallel.worker`.
 """
 
 from __future__ import annotations
 
 import contextvars
 import multiprocessing
-import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence
 
-from ..errors import TaskTimeoutError, WorkerCrashError
+from ..errors import TaskTimeoutError
 from ..obs.registry import MetricsRegistry, get_registry
-from ..obs.sinks import ListSink
-from ..obs.trace import (
-    Tracer,
-    current_trace_context,
-    get_tracer,
-    set_global_tracer,
-    set_trace_context,
-)
-from ..resilience import faults
+from ..obs.trace import Tracer, get_tracer
 from ..resilience.cancel import CancelledError, CancelToken, current_cancel_token
 
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_WORKERS_CAP",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "default_workers",
-    "make_executor",
-    "preferred_start_method",
-    "resolve_workers",
-]
-
-#: Recognized backend names (the order is the documentation order).
-BACKENDS = ("serial", "thread", "process")
-
-#: Upper bound on the worker count chosen automatically (``n_jobs=-1``,
-#: the CLI default): beyond ~8 workers the per-attribute/per-chunk task
-#: grain of the pipeline stops scaling and memory bandwidth dominates.
-DEFAULT_WORKERS_CAP = 8
+__all__ = ["POLL_INTERVAL", "ThreadExecutor", "preferred_start_method"]
 
 #: Seconds between cancellation/deadline polls while waiting on tasks.
 POLL_INTERVAL = 0.05
@@ -100,91 +53,24 @@ def preferred_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def default_workers() -> int:
-    """The automatic worker count: ``os.cpu_count()`` capped at
-    :data:`DEFAULT_WORKERS_CAP`."""
-    return max(1, min(os.cpu_count() or 1, DEFAULT_WORKERS_CAP))
-
-
-def resolve_workers(n_jobs: int | None) -> int:
-    """Normalize an ``n_jobs`` knob to a concrete worker count.
-
-    ``None``, ``0`` and ``1`` mean serial; any negative value means
-    "use the hardware" (:func:`default_workers`); positive values are
-    taken literally.
-    """
-    if n_jobs is None or n_jobs in (0, 1):
-        return 1
-    if n_jobs < 0:
-        return default_workers()
-    return int(n_jobs)
-
-
-def _timed_call(fn: Callable[[Any], Any], item: Any) -> tuple[Any, float]:
-    """Run one task and measure it (worker-side, any backend)."""
-    t0 = time.perf_counter()
-    result = fn(item)
-    return result, time.perf_counter() - t0
-
-
 def _lane_task(
     tracer: Tracer, fn: Callable[[Any], Any], item: Any, index: int
 ) -> tuple[Any, float]:
-    """In-process task shim: one ``parallel.task`` span per item.
-
-    For the thread backend this runs under a per-task
-    ``contextvars.copy_context()``, so the span attaches to the
-    submitting ``parallel.map`` span even though it closes on a pool
-    thread.
-    """
+    """Run one task under a ``parallel.task`` span and time it."""
     with tracer.span("parallel.task", index=index):
-        return _timed_call(fn, item)
+        t0 = time.perf_counter()
+        result = fn(item)
+        return result, time.perf_counter() - t0
 
 
-def _process_task(
-    fn: Callable[[Any], Any],
-    item: Any,
-    trace_ctx: tuple[str | None, str | None, int] | None = None,
-) -> tuple[Any, float, list[dict] | None]:
-    """Worker-process task shim: crash injection, timing, trace stitching.
+class ThreadExecutor:
+    """``ThreadPoolExecutor`` fan-out; tasks may be closures."""
 
-    ``parallel.worker_crash`` hard-kills the worker (``os._exit``), so
-    the parent genuinely observes a dead process — the chaos suite's
-    stand-in for OOM kills and segfaults.
-
-    ``trace_ctx`` is the parent's ``(trace_id, parent_span_id, index)``
-    envelope. When present, the child installs the remote trace context
-    and an enabled local tracer, opens a ``parallel.task`` span linked
-    to the parent's map span, and ships the buffered span events back
-    as the third element of the result tuple.
-    """
-    if faults.fires("parallel.worker_crash"):
-        os._exit(3)
-    if trace_ctx is None:
-        result, seconds = _timed_call(fn, item)
-        return result, seconds, None
-    trace_id, parent_id, index = trace_ctx
-    buffer = ListSink()
-    tracer = Tracer(enabled=True, sinks=[buffer])
-    previous = set_global_tracer(tracer)
-    set_trace_context(trace_id, parent_id)
-    try:
-        with tracer.span("parallel.task", index=index, worker_pid=os.getpid()):
-            result, seconds = _timed_call(fn, item)
-    finally:
-        set_global_tracer(previous)
-        set_trace_context(None, None)
-    return result, seconds, buffer.events
-
-
-class Executor:
-    """Base class: order-preserving ``map`` plus a deterministic fold."""
-
-    backend = "serial"
+    backend = "thread"
 
     def __init__(
         self,
-        workers: int = 1,
+        workers: int,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -193,12 +79,7 @@ class Executor:
         self.workers = workers
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        #: Per-map-label aggregates (calls, tasks, wall vs worker seconds)
-        #: for ``diagnostics["parallel"]["stages"]`` — see
-        #: :meth:`stage_stats_snapshot`.
-        self.stage_stats: dict[str, dict] = {}
-
-    # -- public API --------------------------------------------------------
+        self._pool: ThreadPoolExecutor | None = None
 
     def map(
         self,
@@ -211,9 +92,8 @@ class Executor:
     ) -> list[Any]:
         """Apply ``fn`` to every item; results in item order.
 
-        The first task exception propagates (typed where the engine
-        raises it: cancel, timeout, worker crash); remaining tasks are
-        abandoned.
+        The first task exception propagates (typed where the executor
+        raises it: cancel, timeout); remaining tasks are abandoned.
         """
         items = list(items)
         token = cancel_token if cancel_token is not None else current_cancel_token()
@@ -223,86 +103,23 @@ class Executor:
             "parallel.map", backend=self.backend, workers=self.workers,
             tasks=len(items), label=label,
         ):
-            wall_start = time.perf_counter()
             timed = self._map_timed(fn, items, timeout=timeout, token=token)
-            wall_seconds = time.perf_counter() - wall_start
         self._record(len(items), [seconds for _, seconds in timed])
-        self._record_stage(
-            label, len(items), wall_seconds,
-            sum(seconds for _, seconds in timed),
-        )
         return [result for result, _ in timed]
 
-    def map_reduce(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        reduce_fn: Callable[[Any, Any], Any],
-        *,
-        timeout: float | None = None,
-        cancel_token: CancelToken | None = None,
-        label: str = "map_reduce",
-    ) -> Any:
-        """Map then fold the results **left-to-right in item order**.
-
-        The fixed fold order is the determinism contract: floating-point
-        reductions (e.g. summing per-shard ``XᵀX`` partials) yield the
-        same bits for any worker count or completion order.
-        """
-        results = self.map(
-            fn, items, timeout=timeout, cancel_token=cancel_token, label=label
-        )
-        if not results:
-            raise ValueError("map_reduce needs at least one item")
-        accumulated = results[0]
-        for result in results[1:]:
-            accumulated = reduce_fn(accumulated, result)
-        return accumulated
-
     def close(self) -> None:
-        """Release worker resources; the executor is reusable until closed."""
+        """Release the pool; the executor is reusable until closed."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
-    def __enter__(self) -> "Executor":
+    def __enter__(self) -> "ThreadExecutor":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
 
     # -- internals ---------------------------------------------------------
-
-    def _record_stage(
-        self, label: str, n_tasks: int, wall_seconds: float,
-        worker_seconds: float,
-    ) -> None:
-        """Accumulate per-stage engine-overhead accounting.
-
-        ``overhead_seconds`` is the map's wall time minus the ideal
-        parallel compute time (worker-measured task seconds spread over
-        the worker count) — i.e. serialization, IPC, scheduling and
-        pool-startup cost. It is what makes a "process slower than
-        serial" regression diagnosable from diagnostics alone.
-        """
-        stats = self.stage_stats.setdefault(
-            label,
-            {
-                "calls": 0,
-                "tasks": 0,
-                "wall_seconds": 0.0,
-                "worker_seconds": 0.0,
-                "overhead_seconds": 0.0,
-            },
-        )
-        stats["calls"] += 1
-        stats["tasks"] += n_tasks
-        stats["wall_seconds"] += wall_seconds
-        stats["worker_seconds"] += worker_seconds
-        stats["overhead_seconds"] += max(
-            0.0, wall_seconds - worker_seconds / max(self.workers, 1)
-        )
-
-    def stage_stats_snapshot(self) -> dict[str, dict]:
-        """Copy of the per-label stage aggregates (plain values only)."""
-        return {label: dict(stats) for label, stats in self.stage_stats.items()}
 
     def _record(self, n_tasks: int, task_seconds: Sequence[float]) -> None:
         labels = {"backend": self.backend}
@@ -317,48 +134,23 @@ class Executor:
         for seconds in task_seconds:
             histogram.observe(seconds)
 
-    def _map_timed(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        timeout: float | None,
-        token: CancelToken | None,
-    ) -> list[tuple[Any, float]]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        out: list[tuple[Any, float]] = []
-        for index, item in enumerate(items):
-            if token is not None:
-                token.raise_if_cancelled()
-            if deadline is not None and time.monotonic() > deadline:
-                raise TaskTimeoutError(
-                    f"serial map exceeded its {timeout:.3f}s budget "
-                    f"after {len(out)}/{len(items)} tasks"
-                )
-            out.append(_lane_task(self.tracer, fn, item, index))
-        return out
-
-
-class SerialExecutor(Executor):
-    """Inline execution; the parity reference for the other backends."""
-
-    backend = "serial"
-
-    def __init__(self, registry=None, tracer=None) -> None:
-        super().__init__(workers=1, registry=registry, tracer=tracer)
-
-
-class _PoolExecutor(Executor):
-    """Shared future-wait loop for the thread and process backends."""
-
     def _submit(self, fn, item, index) -> Future:
-        raise NotImplementedError
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-par"
+            )
+        # A fresh context copy per task: the worker thread sees the
+        # submitting context (current span, trace id, cancel token), so
+        # its parallel.task span nests under the parallel.map span.
+        ctx = contextvars.copy_context()
+        return self._pool.submit(ctx.run, _lane_task, self.tracer, fn, item, index)
 
     def _abort(self) -> None:
-        """Tear down the pool after a crash/timeout/cancel."""
-
-    def _finalize(self, timed):
-        """Post-process completed task tuples into ``(result, seconds)``."""
-        return timed
+        # Threads cannot be killed: drop queued work and let running
+        # tasks finish on their own.
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     def _map_timed(self, fn, items, timeout, token):
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -381,119 +173,9 @@ class _PoolExecutor(Executor):
                         break
                     except FutureTimeoutError:
                         continue
-        except BrokenProcessPool as exc:
-            self._abort()
-            raise WorkerCrashError(
-                "a worker process died before returning a result "
-                "(killed/OOM/segfault); the pool has been rebuilt"
-            ) from exc
         except (CancelledError, TaskTimeoutError):
             for future in futures:
                 future.cancel()
             self._abort()
             raise
-        return self._finalize(out)
-
-
-class ThreadExecutor(_PoolExecutor):
-    """``ThreadPoolExecutor`` backend; tasks may be closures."""
-
-    backend = "thread"
-
-    def __init__(self, workers: int, registry=None, tracer=None) -> None:
-        super().__init__(workers=workers, registry=registry, tracer=tracer)
-        self._pool: ThreadPoolExecutor | None = None
-
-    def _submit(self, fn, item, index) -> Future:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-par"
-            )
-        # A fresh context copy per task: the worker thread sees the
-        # submitting context (current span, trace id, cancel token), so
-        # its parallel.task span nests under the parallel.map span.
-        ctx = contextvars.copy_context()
-        return self._pool.submit(ctx.run, _lane_task, self.tracer, fn, item, index)
-
-    def _abort(self) -> None:
-        # Threads cannot be killed; drop queued work, keep the pool.
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-
-class ProcessExecutor(_PoolExecutor):
-    """``ProcessPoolExecutor`` backend on the preferred start method.
-
-    The pool is created lazily on first use (so fork-inherited state —
-    notably an installed :class:`~repro.resilience.FaultInjector` — is
-    current) and rebuilt transparently after a worker crash.
-    """
-
-    backend = "process"
-
-    def __init__(
-        self, workers: int, registry=None, tracer=None,
-        start_method: str | None = None,
-    ) -> None:
-        super().__init__(workers=workers, registry=registry, tracer=tracer)
-        self.start_method = start_method or preferred_start_method()
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _submit(self, fn, item, index) -> Future:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context(self.start_method),
-            )
-        trace_ctx = None
-        if self.tracer.enabled:
-            trace_id, parent_id = current_trace_context()
-            trace_ctx = (trace_id, parent_id, index)
-        return self._pool.submit(_process_task, fn, item, trace_ctx)
-
-    def _finalize(self, timed):
-        pairs: list[tuple[Any, float]] = []
-        for result, seconds, spans in timed:
-            if spans:
-                self.tracer.adopt(spans)
-            pairs.append((result, seconds))
-        return pairs
-
-    def _abort(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-
-def make_executor(
-    backend: str = "process",
-    workers: int | None = None,
-    registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-) -> Executor:
-    """Build an executor; ``workers`` <= 1 always yields the serial one.
-
-    ``workers=None`` means :func:`default_workers` for the pooled
-    backends (serial stays serial).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; options: {BACKENDS}")
-    if backend == "serial":
-        return SerialExecutor(registry=registry, tracer=tracer)
-    count = default_workers() if workers is None else int(workers)
-    if count <= 1:
-        return SerialExecutor(registry=registry, tracer=tracer)
-    if backend == "thread":
-        return ThreadExecutor(count, registry=registry, tracer=tracer)
-    return ProcessExecutor(count, registry=registry, tracer=tracer)
+        return out

@@ -161,8 +161,7 @@ def run_in_process(
     The calling thread blocks, polling the result pipe, the child's
     liveness, ``cancel_token`` and the ``timeout`` deadline every
     ~50 ms. ``fn``/``args``/``kwargs`` and the return value must be
-    picklable (module-level functions; ship bulk data through
-    :mod:`repro.parallel.shared`).
+    picklable (module-level functions).
 
     With an enabled ``tracer``, the current trace context travels to the
     child and its span buffer is re-adopted here, so the job's trace is

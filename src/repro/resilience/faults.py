@@ -23,10 +23,10 @@ Built-in injection points
                            a per-table error record, never a sweep abort.
                            Fires parent-side, so ``times=1`` fails exactly
                            one table on any sweep backend
-``parallel.worker_crash``  a parallel worker process dies hard
-                           (``os._exit(3)``) before running its task —
+``parallel.worker_crash``  a ``run_in_process`` child dies hard
+                           (``os._exit(3)``) before running its job —
                            exercises ``WorkerCrashError`` surfacing in the
-                           process executor and the process job runner.
+                           process job runner.
                            Fork-started workers inherit the installed
                            injector; spawn-started workers do not, so chaos
                            tests force the fork start method.

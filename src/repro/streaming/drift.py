@@ -7,8 +7,8 @@ accumulator, the FD set the session reports is going stale.
 
 :class:`DriftDetector` keeps a sliding window of the last ``K`` batch
 contributions (each one a :class:`~repro.linalg.covariance.\
-CovarianceAccumulator` partial — the same mergeable triple the parallel
-covariance shards use) and scores the shift as the mean absolute
+CovarianceAccumulator` partial — the same mergeable triple the chunked
+covariance estimator folds) and scores the shift as the mean absolute
 difference between the off-diagonal *correlation* entries of the window
 estimate and the baseline estimate. Correlations, not covariances, so
 the score is scale-free and comparable across sessions; off-diagonal

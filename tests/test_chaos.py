@@ -218,20 +218,6 @@ class TestParallelWorkerCrash:
     a terminal state (no hang), and the dead worker is reaped.
     """
 
-    def test_injected_crash_in_map_is_typed_and_pool_recovers(self):
-        from repro.errors import ReproError, WorkerCrashError
-        from repro.parallel import ProcessExecutor
-
-        with ProcessExecutor(2) as ex:
-            with FaultInjector(seed=9).inject(
-                "parallel.worker_crash", times=1
-            ).install():
-                with pytest.raises(WorkerCrashError) as excinfo:
-                    ex.map(str, range(4))
-            assert isinstance(excinfo.value, ReproError)
-            # The pool is rebuilt (post-uninstall fork): still usable.
-            assert ex.map(str, [7]) == ["7"]
-
     def test_killed_process_job_worker_fails_the_job_cleanly(self):
         import multiprocessing
 

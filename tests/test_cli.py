@@ -71,6 +71,14 @@ def test_version_flag(capsys):
     assert repro.__version__ in capsys.readouterr().out
 
 
+def test_discover_has_no_workers_flag(capsys):
+    """Discovery is one serial pipeline: ``discover`` takes no worker count."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["discover", "data.csv", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_serve_subcommand_registered():
     parser = build_parser()
     args = parser.parse_args(["serve", "--port", "0", "--workers", "2"])

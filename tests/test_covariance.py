@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.linalg.covariance import (
+    DEFAULT_CHUNK_ROWS,
+    CovarianceAccumulator,
+    chunk_bounds,
     correlation_from_covariance,
     empirical_covariance,
+    empirical_covariance_chunked,
     is_positive_definite,
     ledoit_wolf_shrinkage,
     pair_difference_covariance,
@@ -105,3 +109,34 @@ def test_is_positive_definite():
     assert is_positive_definite(np.eye(3))
     assert not is_positive_definite(np.diag([1.0, -0.5, 2.0]))
     assert not is_positive_definite(np.zeros((2, 2)))
+
+
+def test_single_chunk_falls_back_to_exact_legacy_gemm():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(100, 4))
+    assert np.array_equal(
+        empirical_covariance_chunked(X), empirical_covariance(X)
+    )
+
+
+@pytest.mark.parametrize("assume_centered", [False, True])
+def test_multi_chunk_covariance_matches_gemm(assume_centered):
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(3 * DEFAULT_CHUNK_ROWS + 123, 5))
+    chunked = empirical_covariance_chunked(X, assume_centered=assume_centered)
+    np.testing.assert_allclose(
+        chunked, empirical_covariance(X, assume_centered=assume_centered),
+        atol=1e-10,
+    )
+
+
+def test_accumulator_merge_matches_whole_matrix():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(1000, 4))
+    bounds = chunk_bounds(X.shape[0], 256)
+    acc = CovarianceAccumulator.from_rows(X[bounds[0][0]:bounds[0][1]])
+    for lo, hi in bounds[1:]:
+        acc.merge(CovarianceAccumulator.from_rows(X[lo:hi]))
+    whole = CovarianceAccumulator.from_rows(X)
+    assert acc.n_rows == whole.n_rows
+    np.testing.assert_allclose(acc.covariance(), whole.covariance(), atol=1e-12)

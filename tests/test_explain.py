@@ -225,18 +225,3 @@ class TestDiscoveryIntegration:
         evidence = result.diagnostics["evidence"]
         assert evidence["records"] == []
         assert result.diagnostics["solver_health"]["runs"] == []
-
-
-@pytest.mark.parametrize("backend,workers", [("thread", 2), ("process", 2)])
-def test_evidence_identical_across_backends(backend, workers):
-    """Emit/suppress decisions (and margins) never depend on the backend."""
-    relation = discovery_relation(n=600)
-    serial = FDX(seed=5).discover(relation)
-    parallel = FDX(
-        seed=5, n_jobs=workers, parallel_backend=backend, parallel_min_rows=0
-    ).discover(relation)
-    assert parallel.diagnostics["evidence"] == serial.diagnostics["evidence"]
-    assert (
-        parallel.diagnostics["solver_health"]
-        == serial.diagnostics["solver_health"]
-    )

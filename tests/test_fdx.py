@@ -75,6 +75,20 @@ def test_single_attribute_relation():
     assert res.fds == []
 
 
+def test_single_attribute_diagnostics_are_the_shared_subset():
+    """The no-model path reports the same explain keys as a full run."""
+    full = FDX().discover(fd_relation(200))
+    tiny = FDX().discover(Relation.from_rows(["only"], [(1,), (2,)]))
+    assert set(tiny.diagnostics) == {"degraded", "solver_health", "evidence"}
+    assert set(tiny.diagnostics) <= set(full.diagnostics)
+    assert tiny.diagnostics["degraded"] is False
+    constant = FDX().discover(Relation.from_rows(["only"], [(1,), (1,)]))
+    assert constant.diagnostics["input_warnings"]
+    assert "evidence" not in FDX(evidence=False).discover(
+        Relation.from_rows(["only"], [(1,), (2,)])
+    ).diagnostics
+
+
 def test_uniform_transform_option():
     res = FDX(transform="uniform").discover(fd_relation())
     assert res.n_pair_samples == 800 * 3

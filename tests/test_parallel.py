@@ -1,32 +1,23 @@
-"""Unit tests for the execution engine (repro.parallel.executor).
+"""Unit tests for repro.parallel: the thread fan-out and the process runner.
 
-Every backend must honour the same contract: item-ordered results,
-left-fold map_reduce, typed cancel/timeout/crash errors, and metrics
-through the wired registry. The process-backend cases use tiny task
-counts so the whole file stays tier-1 fast.
+:class:`ThreadExecutor` must return item-ordered results, raise typed
+cancel/timeout errors and record metrics through the wired registry;
+:func:`run_in_process` must turn a dead child into a typed error.
 """
 
 import os
+import threading
 import time
 
 import pytest
 
 from repro.errors import ParallelExecutionError, TaskTimeoutError, WorkerCrashError
 from repro.obs import MetricsRegistry
-from repro.parallel import (
-    BACKENDS,
-    DEFAULT_WORKERS_CAP,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    default_workers,
-    make_executor,
-    resolve_workers,
-)
+from repro.parallel import ThreadExecutor, run_in_process
 from repro.resilience.cancel import CancelledError, CancelToken
 
 
-# Process tasks must be picklable -> module level.
+# Process jobs must be picklable -> module level.
 def _square(x):
     return x * x
 
@@ -40,65 +31,12 @@ def _die(x):
     os._exit(3)
 
 
-def _backends():
-    """One instance per backend, pools sized small."""
-    return [
-        SerialExecutor(registry=MetricsRegistry()),
-        ThreadExecutor(2, registry=MetricsRegistry()),
-        ProcessExecutor(2, registry=MetricsRegistry()),
-    ]
-
-
-# -- knob normalization ------------------------------------------------------
-
-def test_resolve_workers():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(0) == 1
-    assert resolve_workers(1) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(-1) == default_workers()
-
-
-def test_default_workers_is_capped():
-    assert 1 <= default_workers() <= DEFAULT_WORKERS_CAP
-
-
-def test_make_executor_backend_dispatch():
-    assert make_executor("serial", 4).backend == "serial"
-    # <=1 worker always collapses to serial, whatever the backend.
-    assert isinstance(make_executor("process", 1), SerialExecutor)
-    assert isinstance(make_executor("thread", 1), SerialExecutor)
-    with make_executor("thread", 2) as ex:
-        assert isinstance(ex, ThreadExecutor)
-    with make_executor("process", 2) as ex:
-        assert isinstance(ex, ProcessExecutor)
-    with pytest.raises(ValueError):
-        make_executor("gpu", 4)
-    assert tuple(BACKENDS) == ("serial", "thread", "process")
-
-
 # -- map contract ------------------------------------------------------------
 
 def test_map_preserves_item_order_on_every_backend():
     items = list(range(10))
-    for ex in _backends():
-        with ex:
-            assert ex.map(_square, items) == [x * x for x in items]
-
-
-def test_map_reduce_left_fold_order():
-    # String concatenation is order-sensitive: the fold must be
-    # left-to-right in item order on every backend.
-    for ex in _backends():
-        with ex:
-            folded = ex.map_reduce(str, [1, 2, 3, 4], lambda a, b: a + b)
-            assert folded == "1234"
-
-
-def test_map_reduce_rejects_empty_input():
-    with SerialExecutor(registry=MetricsRegistry()) as ex:
-        with pytest.raises(ValueError):
-            ex.map_reduce(_square, [], lambda a, b: a + b)
+    with ThreadExecutor(2, registry=MetricsRegistry()) as ex:
+        assert ex.map(_square, items) == [x * x for x in items]
 
 
 def test_map_records_metrics():
@@ -110,37 +48,55 @@ def test_map_records_metrics():
     assert registry.histogram("parallel_worker_seconds", labels=labels).count == 5
 
 
+def test_workers_must_be_positive():
+    with pytest.raises(ValueError):
+        ThreadExecutor(0)
+
+
 # -- cancellation / timeout / crash -----------------------------------------
 
 def test_pre_cancelled_token_aborts_before_any_task():
     token = CancelToken()
     token.set("client went away")
-    for ex in _backends():
-        with ex:
+    with ThreadExecutor(2, registry=MetricsRegistry()) as ex:
+        with pytest.raises(CancelledError):
+            ex.map(_square, [1, 2], cancel_token=token)
+
+
+def test_token_set_mid_map_abandons_pending_tasks():
+    started = []
+
+    def slow(x):
+        started.append(x)
+        return _slow_identity(x)
+
+    token = CancelToken()
+    timer = threading.Timer(0.1, token.set, args=("shutdown",))
+    timer.start()
+    try:
+        with ThreadExecutor(1, registry=MetricsRegistry()) as ex:
             with pytest.raises(CancelledError):
-                ex.map(_square, [1, 2], cancel_token=token)
+                ex.map(slow, range(8), cancel_token=token)
+    finally:
+        timer.cancel()
+    assert len(started) < 8
 
 
-def test_serial_timeout_is_typed():
-    with SerialExecutor(registry=MetricsRegistry()) as ex:
-        with pytest.raises(TaskTimeoutError):
-            ex.map(_slow_identity, range(5), timeout=0.05)
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_pool_timeout_is_typed(backend):
-    with make_executor(backend, 2, registry=MetricsRegistry()) as ex:
+    with ThreadExecutor(2, registry=MetricsRegistry()) as ex:
+        assert ex.backend == backend
         with pytest.raises(TaskTimeoutError) as excinfo:
             ex.map(_slow_identity, range(8), timeout=0.1)
         assert isinstance(excinfo.value, ParallelExecutionError)
 
 
 def test_process_worker_death_surfaces_as_worker_crash_error():
-    with ProcessExecutor(2, registry=MetricsRegistry()) as ex:
-        with pytest.raises(WorkerCrashError):
-            ex.map(_die, [1])
-        # The pool is rebuilt: the executor stays usable afterwards.
-        assert ex.map(_square, [3]) == [9]
+    registry = MetricsRegistry()
+    with pytest.raises(WorkerCrashError):
+        run_in_process(_die, (1,), registry=registry)
+    # Each job gets a fresh child: the next one runs normally.
+    assert run_in_process(_square, (3,), registry=registry) == 9
 
 
 def test_worker_crash_error_is_a_repro_error():

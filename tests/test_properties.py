@@ -10,7 +10,7 @@ from repro.baselines.partitions import Partition, fd_error_g3
 from repro.core.fd import FD, fd_edges, minimal_cover
 from repro.core.transform import center_within_blocks
 from repro.dataset.relation import Relation
-from repro.linalg.cholesky import ldl_decompose, udu_decompose
+from repro.linalg.cholesky import OrderedFactorization, ldl_decompose, udu_decompose
 from repro.linalg.covariance import correlation_from_covariance, empirical_covariance
 from repro.linalg.lasso import soft_threshold
 from repro.metrics.evaluation import score_edges
@@ -37,6 +37,16 @@ count_tables = arrays(
 spd_matrices = st.integers(2, 6).flatmap(
     lambda p: arrays(np.float64, (p, p), elements=st.floats(-1.0, 1.0)).map(
         lambda A: A @ A.T + p * np.eye(p)
+    )
+)
+
+#: A unit upper-triangular ``U`` and a permutation ``order`` of one size.
+ordered_factors = st.integers(1, 12).flatmap(
+    lambda p: st.tuples(
+        arrays(np.float64, (p, p), elements=st.floats(-1.0, 1.0)).map(
+            lambda A: np.eye(p) + np.triu(A, 1)
+        ),
+        st.permutations(range(p)),
     )
 )
 
@@ -70,6 +80,19 @@ def test_udu_roundtrip_property(A):
     U, d = udu_decompose(A)
     assert np.allclose(U @ np.diag(d) @ U.T, A, atol=1e-6 * np.abs(A).max())
     assert np.allclose(np.diag(U), 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ordered_factors)
+def test_autoregression_in_original_order_matches_definition(case):
+    U, order = case
+    p = len(order)
+    factorization = OrderedFactorization(order=np.asarray(order), U=U, d=np.ones(p))
+    B = factorization.autoregression
+    out = factorization.autoregression_in_original_order()
+    for i in range(p):
+        for j in range(p):
+            assert out[order[i], order[j]] == B[i, j]
 
 
 # --- covariance -----------------------------------------------------------

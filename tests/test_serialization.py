@@ -159,9 +159,6 @@ FULL_DIAGNOSTICS_KEYS = (
     "glasso_objective_trace",
     "degraded",
     "fallback_chain",
-    # Always present: which parallel backend/worker count served the run
-    # (serial runs record backend="serial"), so results stay comparable.
-    "parallel",
     # Per-FD evidence ledger and per-run solver telemetry (explain layer).
     "evidence",
     "solver_health",

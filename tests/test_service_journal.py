@@ -170,12 +170,12 @@ def test_stats_reports_appends_and_size(journal):
 _TERMINALS = ("completed", "failed", "cancelled", "quarantined")
 
 
-def _random_history(rng, n_jobs):
+def _random_history(rng, job_count):
     """Generate a valid interleaving of per-job transition sequences."""
     per_job = []
-    for i in range(n_jobs):
+    for i in range(job_count):
         job_id = f"j-{i}"
-        key = f"k-{rng.randrange(max(1, n_jobs // 2))}"
+        key = f"k-{rng.randrange(max(1, job_count // 2))}"
         seq = [("submitted", job_id,
                 {"kind": "discover", "attempt": rng.randrange(1, 4), "key": key})]
         fate = rng.random()
@@ -219,8 +219,8 @@ def _expected_table(history):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_interleavings_replay_exactly(tmp_path, seed):
     rng = random.Random(seed)
-    n_jobs = rng.randrange(3, 12)
-    history = _random_history(rng, n_jobs)
+    job_count = rng.randrange(3, 12)
+    history = _random_history(rng, job_count)
 
     d = tmp_path / f"run-{seed}"
     d.mkdir()

@@ -1,5 +1,10 @@
 """Tests for repro.datagen.synthetic (the §5.1 generator)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,3 +117,33 @@ def test_spec_for_setting_validation():
 
 def test_setting_name_format():
     assert setting_name("small", "large", "small", "high") == "t=small r=large d=small n=high"
+
+
+#: Prints every cell of one noisy instance, for the hash-seed check.
+_CELLS_SCRIPT = """
+import json
+from repro.datagen.synthetic import SyntheticSpec, generate
+spec = SyntheticSpec(n_tuples=200, n_attributes=8, noise_rate=0.05, seed=4000)
+relation = generate(spec).relation
+print(json.dumps({n: [repr(v) for v in relation.column(n)]
+                  for n in relation.schema.names}))
+"""
+
+
+def _cells_under_hash_seed(hash_seed: int) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _CELLS_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return completed.stdout
+
+
+def test_generated_cells_do_not_depend_on_the_string_hash_seed():
+    """The noise channel draws one value per chosen cell; the cells must
+    be visited in a fixed order, not in (hash-dependent) set order."""
+    assert _cells_under_hash_seed(1) == _cells_under_hash_seed(2)

@@ -1,5 +1,7 @@
 """Tests for repro.core.transform (paper Algorithm 2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,46 @@ def test_deterministic_given_seed():
     a = pair_difference_transform(rel, np.random.default_rng(5))
     b = pair_difference_transform(rel, np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+def mixed_relation(n=300, seed=7):
+    """Categorical, numeric and text columns, with missing cells."""
+    rng = np.random.default_rng(seed)
+    schema = Schema([
+        Attribute("zip", AttributeType.CATEGORICAL),
+        Attribute("city", AttributeType.CATEGORICAL),
+        Attribute("price", AttributeType.NUMERIC),
+        Attribute("street", AttributeType.TEXT),
+        Attribute("grade", AttributeType.CATEGORICAL),
+    ])
+    zips = rng.integers(20, size=n)
+    columns = {
+        "zip": [int(z) for z in zips],
+        "city": [f"c{z % 7}" if rng.random() > 0.05 else MISSING for z in zips],
+        "price": [
+            float(rng.normal()) if rng.random() > 0.05 else MISSING for _ in zips
+        ],
+        "street": [
+            f"{int(z)} Main Street" if rng.random() > 0.5 else f"elm {int(z)}"
+            for z in zips
+        ],
+        "grade": [int(rng.integers(4)) for _ in zips],
+    }
+    return Relation(schema, columns)
+
+
+@pytest.mark.parametrize("cap,digest", [
+    (None, "ca1b78ce092c32c41e1ac2f62a15b57232f5b299f447837a446595a0d1fae6f1"),
+    (120, "eb8bf12ad88f3eaf5a174bf8acf4175aa6cbf818196b5a0551b8b357eacc52e6"),
+], ids=["all_rows", "capped_rows"])
+def test_transform_output_is_pinned(cap, digest):
+    """The exact bytes of the transform on a mixed-type relation.
+
+    A rewrite of the transform (e.g. a columnar encoding) must keep
+    these digests: every downstream result is a function of them.
+    """
+    out = pair_difference_transform(
+        mixed_relation(), np.random.default_rng(11), max_rows_per_attribute=cap
+    )
+    assert out.dtype == np.uint8
+    assert hashlib.sha256(out.tobytes()).hexdigest() == digest
