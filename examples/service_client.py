@@ -69,7 +69,7 @@ def main() -> None:
         client.close_session(session_id)
 
         metrics = client.metrics()
-        print(f"\nmetrics: {metrics['counters']['requests_total']} requests, "
+        print(f"\nmetrics: {metrics['counters']['requests_total']:.0f} requests, "
               f"cache hit rate {metrics['cache_hit_rate']:.0%}, "
               f"discover p50 "
               f"{metrics['latency']['discover']['p50_seconds'] * 1000:.1f} ms")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command repo check: byte-compile everything, run the tier-1 suite,
-# the tier-2 observability smoke tests (real CLI + server subprocesses),
+# the tier-2 observability and chaos smoke tests (real CLI + server
+# subprocesses), the `repro serve` subprocess smoke (scripts/smoke_service.sh),
 # a fast benchmark smoke pass reported against the recorded trajectory
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
@@ -26,6 +27,11 @@ echo "== tier-2 observability smoke =="
 
 echo "== tier-2 chaos smoke =="
 "$PYTHON" -m pytest -q -m tier2 tests/test_chaos.py
+
+echo "== service smoke =="
+# The real `repro serve` subprocess: discover + session round trips and
+# malformed raw-socket bodies answered 400 by a server that stays healthy.
+PYTHON="$PYTHON" bash scripts/smoke_service.sh
 
 echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Smoke test for `python -m repro serve`: boots the real server process,
 # runs one discover round trip and one streaming-session round trip via
-# the Python client, checks the cache hit shows up in /v1/metrics, and
-# exits nonzero on any failure. Invoked by the tier-2 pytest marker
-# (tests/test_service_smoke.py) and usable standalone:
+# the Python client, checks the cache hit shows up in /v1/metrics, sends
+# malformed bodies over a raw socket (each must get a 400, and the server
+# must stay healthy), and exits nonzero on any failure. Invoked by
+# scripts/check.sh and the tier-2 pytest marker
+# (tests/test_service_smoke.py), and usable standalone:
 #
 #   bash scripts/smoke_service.sh
 set -euo pipefail
@@ -58,6 +60,28 @@ for start in range(0, 1000, 250):
 session_result = client.session_fds(session)
 assert FD(["a0"], "a1") in set(session_result.fds), session_result.fds
 client.close_session(session)
+
+# Malformed bodies over a raw socket: a typed 400, never a 500.
+import socket
+
+
+def raw_status(head: bytes, body: bytes) -> int:
+    with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+        sock.sendall(b"POST /v1/discover HTTP/1.1\r\nHost: smoke\r\n"
+                     b"Connection: close\r\n" + head + b"\r\n" + body)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
+
+
+assert raw_status(b"Content-Length: abc\r\n", b"{}") == 400
+non_utf8 = b'{"relation": "\xff\xfe"}'
+assert raw_status(b"Content-Length: %d\r\n" % len(non_utf8), non_utf8) == 400
+assert client.healthz()["status"] == "ok"
 
 print("smoke_service: OK")
 EOF

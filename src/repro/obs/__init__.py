@@ -7,8 +7,8 @@ Three stdlib-only pieces:
   whose current span and trace id travel in :mod:`contextvars`, so
   service worker threads inherit the request's trace id;
 * :mod:`~repro.obs.registry` — unified metrics registry with counters,
-  gauges and fixed-bucket histograms (p50/p95/p99), superseding the old
-  ``repro.service.metrics`` counters;
+  gauges and fixed-bucket histograms (p50/p95/p99), where every service
+  counter and request-latency histogram lives;
 * :mod:`~repro.obs.sinks` — pluggable event sinks (in-memory ring,
   JSONL file) plus the Prometheus text exposition served at
   ``GET /v1/metrics?format=prometheus``;

@@ -1,10 +1,8 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
-Supersedes (and absorbs) the counters-only ``repro.service.metrics``:
-the service's :class:`~repro.service.metrics.Metrics` facade is now a
-thin compatibility wrapper over a shared :class:`MetricsRegistry`, and
-the registry is what the Prometheus exposition
-(:func:`repro.obs.sinks.render_prometheus`) renders.
+The HTTP service keeps every counter and latency histogram in one
+:class:`MetricsRegistry`; both the JSON ``/v1/metrics`` payload and the
+Prometheus exposition (:func:`repro.obs.sinks.render_prometheus`) read it.
 
 Metrics are identified by ``(name, labels)``; labels are an optional
 mapping of string key/value pairs. All instruments are thread-safe and
@@ -30,23 +28,16 @@ def percentile(sorted_values: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (``q`` in [0, 1]).
 
     Uses the ceil-based nearest-rank definition ``rank = ceil(q * n)``
-    (1-indexed, clamped). The previous home of this function
-    (``repro.service.metrics._percentile``) used Python's banker's
-    ``round(q * (n - 1))``, which rounds half-to-even and therefore
-    under-reports upper percentiles for some window sizes — e.g. the
-    p95 of 31 sorted values landed on rank 29 instead of the true
-    nearest rank 30 — making reported percentiles non-monotonic as the
-    window grows.
+    (1-indexed, clamped). A banker's ``round(q * (n - 1))`` rank would
+    round half-to-even and under-report upper percentiles for some
+    window sizes — e.g. the p95 of 31 sorted values would land on rank
+    29 instead of the true nearest rank 30.
     """
     if not sorted_values:
         return 0.0
     n = len(sorted_values)
     rank = min(max(math.ceil(q * n), 1), n)
     return sorted_values[rank - 1]
-
-
-#: Backwards-compatible alias: ``service.metrics`` re-exports this name.
-_percentile = percentile
 
 
 def _labels_key(labels: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:

@@ -11,25 +11,25 @@ reproduction into a long-lived service that amortizes that work:
 * :mod:`~repro.service.cache` — fingerprinted LRU/TTL result cache,
 * :mod:`~repro.service.sessions` — streaming sessions over
   :class:`repro.core.IncrementalFDX`,
-* :mod:`~repro.service.metrics` — compatibility facade over the unified
-  :class:`repro.obs.MetricsRegistry` (counters, gauges, histograms;
-  Prometheus exposition at ``GET /v1/metrics?format=prometheus``),
 * :mod:`~repro.service.slo` — per-endpoint latency objectives with
   burn-rate counters, feeding ``GET /v1/statusz`` deep readiness,
 * :mod:`~repro.service.server` — the stdlib ``http.server`` front end
-  (``python -m repro serve``), with per-request ``X-Trace-Id``
-  correlation and structured JSONL request logging,
+  (``python -m repro serve``): one route table (method, path, endpoint
+  label, SLO, service method), per-request ``X-Trace-Id`` correlation
+  and structured JSONL request logging,
 * :mod:`~repro.service.client` — a blocking Python client.
 
 Everything is standard library + the repro core: no web framework.
-Tracing/metrics plumbing lives in :mod:`repro.obs`.
+Tracing/metrics plumbing lives in :mod:`repro.obs`; every service counter
+and latency histogram lives in the service's
+:class:`repro.obs.MetricsRegistry`, which both forms of ``/v1/metrics``
+render.
 """
 
 from ..resilience.retry import RetryPolicy
 from .cache import ResultCache, dataset_fingerprint
 from .client import ServiceClient, ServiceError, ServiceUnavailableError
 from .jobs import Job, JobManager, QueueFullError
-from .metrics import Metrics
 from .protocol import (
     PROTOCOL_VERSION,
     Hyperparameters,
@@ -47,7 +47,6 @@ __all__ = [
     "Hyperparameters",
     "Job",
     "JobManager",
-    "Metrics",
     "ProtocolError",
     "QueueFullError",
     "ResultCache",

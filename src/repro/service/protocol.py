@@ -17,11 +17,13 @@ should reject a major version they do not understand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..dataset.relation import MISSING, Relation
 from ..dataset.schema import Attribute, AttributeType, Schema
+from ..linalg.ordering import ORDERING_METHODS
 
 #: Wire-format version embedded in every response envelope.
 PROTOCOL_VERSION = 1
@@ -70,10 +72,9 @@ class Hyperparameters:
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
             raise ProtocolError(f"unknown hyperparameters: {sorted(unknown)}")
-        try:
-            return cls(**dict(payload))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad hyperparameters: {exc}") from exc
+        for name, value in payload.items():
+            _check_hyperparameter(name, value, cls.__dataclass_fields__[name].type)
+        return cls(**dict(payload))
 
     def to_dict(self) -> dict:
         return {
@@ -92,6 +93,41 @@ class Hyperparameters:
     def canonical(self) -> tuple:
         """Deterministic tuple for fingerprinting (sorted key order)."""
         return tuple(sorted((k, repr(v)) for k, v in self.to_dict().items()))
+
+
+#: Python types a numeric wire value may have, by field annotation.
+_NUMBER_TYPES = {"float": (int, float), "int": (int,)}
+
+#: What a rejected value should have been, for fields with extra rules.
+_EXPECTED = {
+    "lam": "a non-negative number or 'ebic'",
+    "shrinkage": "a number in [0, 1]",
+    "ordering": "one of " + ", ".join(sorted(ORDERING_METHODS)),
+}
+
+
+def _check_hyperparameter(name: str, value: Any, annotation: str) -> None:
+    """Raise a 400 unless ``value`` fits the field's annotation.
+
+    ``bool`` is not a number and numbers must be finite and >= 0;
+    ``lam`` may also be ``"ebic"``, ``shrinkage`` is at most 1, and
+    ``ordering`` must name a heuristic of ``ORDERING_METHODS``.
+    """
+    kind = annotation.split(" |")[0]
+    if value is None:
+        ok = annotation.endswith("| None")
+    elif kind == "str":
+        ok = isinstance(value, str) and (name != "ordering" or value in ORDERING_METHODS)
+    elif name == "lam" and value == "ebic":
+        ok = True
+    else:
+        ok = (
+            isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
+            and 0 <= value < math.inf and (name != "shrinkage" or value <= 1)
+        )
+    if not ok:
+        expected = _EXPECTED.get(name, f"a non-negative {annotation}")
+        raise ProtocolError(f"bad hyperparameter {name}={value!r:.80}: expected {expected}")
 
 
 # -- relations over the wire -------------------------------------------------

@@ -7,56 +7,14 @@ Two layers live here:
   metrics. Every method takes/returns plain dicts (plus an HTTP status),
   so it is directly unit-testable without sockets.
 * the handler built by :func:`_make_handler` — a thin
-  ``http.server`` routing shim over it, served by
+  ``http.server`` shim that dispatches through :data:`ROUTES`, served by
   ``ThreadingHTTPServer`` (one thread per connection; the expensive
   discovery work is still bounded by the job manager's worker pool).
 
-Endpoints (all JSON, all prefixed ``/v1``):
-
-=======================  ====================================================
-``POST /v1/discover``    run FDX on a shipped relation; ``"wait": false``
-                         returns 202 + job id, else blocks for the result.
-                         Identical (relation, hyperparameters) requests are
-                         served from the fingerprint cache.
-``POST /v1/catalog``     sweep a whole catalog (SQLite file or CSV
-                         directory on the server's filesystem): one job
-                         per table through the same journal/quarantine/
-                         idempotency machinery; ``"wait": true`` blocks
-                         for the consolidated report, else 202 + catalog id
-``GET  /v1/catalog/<id>``  incremental per-table completion; once every
-                         table job is terminal, the consolidated report
-                         (per-table FDs + sampling error bars + cross-table
-                         shared-key hints) rides along
-``GET  /v1/jobs/<id>``   job status (+result once done)
-``DELETE /v1/jobs/<id>`` cancel a queued/running job
-``GET  /v1/jobs/<id>/explain``  per-FD evidence ledger of a finished job;
-                         ``?fd=lhs->rhs`` narrows to one FD's record
-``POST /v1/sessions``    open a streaming session (body: hyperparameters)
-``POST /v1/sessions/<id>/batches``  append rows to a session
-``GET  /v1/sessions/<id>/fds``      FDs over everything appended so far;
-                         ``?force=1`` bypasses the ``refresh_every_rows``
-                         debounce (the solve runs outside the session
-                         lock, so appends never block on it)
-``GET  /v1/sessions/<id>/deltas``   versioned FD changelog;
-                         ``?since=<version>`` returns only newer records
-``GET  /v1/sessions/<id>/drift``    covariance-shift drift score + alert
-``GET  /v1/sessions/<id>/explain``  evidence ledger of the last refresh
-                         (streak/drift-annotated); ``?fd=`` narrows to one FD
-``POST /v1/sessions/<id>/checkpoint``  force-persist the session now
-``POST /v1/sessions/<id>/reset``    forget the session's statistics
-``GET  /v1/sessions/<id>``          session info
-``DELETE /v1/sessions/<id>``        close the session
-``GET  /v1/healthz``     shallow liveness + version (cheap, always 200)
-``GET  /v1/statusz``     deep readiness: worker-pool saturation, cache and
-                         session stats, last error, per-endpoint SLO burn
-                         rates; answers 503 when degraded
-``GET  /v1/metrics``     counters, cache hit rate, queue depth, latency
-``GET  /v1/debug/flight`` flight-recorder ring snapshot (recent spans,
-                         request lines, metric deltas, state changes);
-                         ``?limit=N`` caps the event count
-=======================  ====================================================
-
-Every request is also measured against a per-endpoint latency SLO
+Every endpoint is one row of :data:`ROUTES` (method, path, endpoint
+label, latency SLO, and the service method it calls); docs/SERVICE.md
+lists the same routes for humans, and a test keeps the two in step.
+Each request's latency is measured against its row's SLO
 (:mod:`~repro.service.slo`); the resulting burn-rate counters ride the
 Prometheus exposition.
 """
@@ -69,7 +27,8 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable, NamedTuple
+from urllib.parse import parse_qs
 
 from .. import __version__
 from ..core.fdx import FDX, validate_relation
@@ -91,7 +50,6 @@ from ..errors import CatalogError
 from .cache import ResultCache, dataset_fingerprint
 from .catalog import CatalogManager
 from .jobs import DONE, Job, JobManager, QuarantinedError, QueueFullError
-from .metrics import Metrics
 from .protocol import (
     Hyperparameters,
     ProtocolError,
@@ -100,17 +58,23 @@ from .protocol import (
     relation_from_wire,
 )
 from .sessions import SessionManager
-from .slo import SloTracker
+from .slo import SloObjective, SloTracker
+
+#: Per-endpoint request-latency histogram: the one timing source behind
+#: both the JSON and the Prometheus forms of ``/v1/metrics``.
+REQUEST_SECONDS = "http_request_seconds"
 
 
-def _discover_job_task(relation, hyperparameters: Hyperparameters) -> dict:
-    """Job body executed in a worker *process* (``executor="process"``).
+def _discover_job_task(
+    relation, hyperparameters: Hyperparameters, tracer: Tracer | None = None
+) -> dict:
+    """Job body: run the full pipeline, return the wire dict.
 
-    Module-level so it pickles; receives the parsed relation and
-    hyperparameters, runs the full pipeline, returns the wire dict.
-    The child inherits no tracer (spans stay in the parent around the
-    supervision call); pipeline cancellation arrives via the sentinel
-    installed by :func:`repro.parallel.run_in_process`.
+    Module-level so it pickles for ``executor="process"``, where the
+    child gets no tracer (spans stay in the parent around the
+    supervision call) and pipeline cancellation arrives via the sentinel
+    installed by :func:`repro.parallel.run_in_process`. The thread
+    executor calls it in-process with the service's tracer.
     """
     fdx = FDX(
         lam=hyperparameters.lam,
@@ -119,6 +83,7 @@ def _discover_job_task(relation, hyperparameters: Hyperparameters) -> dict:
         shrinkage=hyperparameters.shrinkage,
         max_rows_per_attribute=hyperparameters.max_rows_per_attribute,
         seed=hyperparameters.seed,
+        tracer=tracer,
     )
     return fdx.discover(relation).to_dict()
 
@@ -163,8 +128,11 @@ class DiscoveryService:
                 f"unknown recover mode {recover!r}; options: mark, resubmit"
             )
         self.recover = recover
+        # Wall clock for human-facing timestamps only; uptime comes from
+        # the monotonic clock (immune to NTP steps / clock slew).
+        self.started_at = time.time()
+        self._started_monotonic = time.monotonic()
         self.registry = MetricsRegistry()
-        self.metrics = Metrics(registry=self.registry)
         self._obs_sink = (
             JsonlSink(obs_jsonl, max_bytes=obs_jsonl_max_bytes, registry=self.registry)
             if obs_jsonl else None
@@ -196,7 +164,9 @@ class DiscoveryService:
         self._previous_fault_observer = faults.set_fault_observer(
             self._on_fault_fired
         )
-        self.slo = SloTracker(self.registry)
+        self.slo = SloTracker(
+            self.registry, objectives={route.name: route.slo for route in ROUTES}
+        )
         # Solver-health telemetry: every discovery's solver runs feed the
         # solver_* series, the flight triggers, and /v1/statusz readiness.
         self.solver_health = SolverHealthMonitor(self.registry)
@@ -231,7 +201,6 @@ class DiscoveryService:
             max_sessions=max_sessions,
             ttl_seconds=session_ttl,
             checkpoint_dir=checkpoint_dir,
-            metrics=self.metrics,
             registry=self.registry,
             tracer=self.tracer,
             event_hook=self._on_session_event,
@@ -294,6 +263,9 @@ class DiscoveryService:
         faults.set_fault_observer(self._previous_fault_observer)
 
     # -- observability -----------------------------------------------------
+
+    def uptime_seconds(self) -> float:
+        return time.monotonic() - self._started_monotonic
 
     def log_request(self, record: dict) -> None:
         """Forward one per-request log record to the event sinks."""
@@ -407,15 +379,11 @@ class DiscoveryService:
         if fingerprint is not None:
             cached = self.cache.get(fingerprint)
             if cached is not None:
-                self.metrics.increment("discover_cache_hits")
+                self.registry.counter("discover_cache_hits").inc()
                 return 200, envelope(
                     {"cached": True, "fingerprint": fingerprint, "result": cached}
                 )
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
-        status, body = self.discover(payload, idempotency_key=idempotency_key)
+        status, body = self.discover(decode_body(raw), idempotency_key=idempotency_key)
         if "fingerprint" in body:
             self._body_index.put(digest, body["fingerprint"])
         return status, body
@@ -446,11 +414,11 @@ class DiscoveryService:
         fingerprint = dataset_fingerprint(relation, hyperparameters)
         cached = self.cache.get(fingerprint)
         if cached is not None:
-            self.metrics.increment("discover_cache_hits")
+            self.registry.counter("discover_cache_hits").inc()
             return 200, envelope(
                 {"cached": True, "fingerprint": fingerprint, "result": cached}
             )
-        self.metrics.increment("discover_cache_misses")
+        self.registry.counter("discover_cache_misses").inc()
 
         # An idempotent retry of a submit whose response was lost (reset
         # mid-reply) reattaches to the job already doing the work.
@@ -458,7 +426,7 @@ class DiscoveryService:
             existing_id = self._idempotency.get(idempotency_key)
             existing = self.jobs.get(existing_id) if existing_id else None
             if existing is not None:
-                self.metrics.increment("idempotent_replays")
+                self.registry.counter("idempotent_replays").inc()
                 return self._job_reply(existing, fingerprint, wait, replayed=True)
 
         # Journal-enabled managers get the wire-form work description so
@@ -474,23 +442,25 @@ class DiscoveryService:
                 self._make_run(relation, hyperparameters, deadline, fingerprint),
                 timeout=deadline, key=fingerprint, payload=journal_payload,
             )
-        except QuarantinedError as exc:
-            self.metrics.increment("requests_quarantined")
-            return 409, error_payload(str(exc), 409, reason="quarantined")
-        except QueueFullError as exc:
-            self.metrics.increment("requests_shed")
-            self.flight.record(
-                "state", trace_id=current_trace_id(),
-                event="load.shed", retry_after_seconds=exc.retry_after_seconds,
-            )
-            return 429, error_payload(
-                str(exc), 429, retry_after=exc.retry_after_seconds
-            )
+        except (QuarantinedError, QueueFullError) as exc:
+            return self._refused(exc)
         # Record the mapping *before* replying: if the reply is lost on
         # the wire, the client's retry must find the job, not re-run it.
         if idempotency_key:
             self._idempotency.put(idempotency_key, job.id)
         return self._job_reply(job, fingerprint, wait)
+
+    def _refused(self, exc: QuarantinedError | QueueFullError) -> tuple[int, dict]:
+        """Reply to a refused submit (discover or catalog): 409 or 429."""
+        if isinstance(exc, QuarantinedError):
+            self.registry.counter("requests_quarantined").inc()
+            return 409, error_payload(str(exc), 409, reason="quarantined")
+        self.registry.counter("requests_shed").inc()
+        self.flight.record(
+            "state", trace_id=current_trace_id(),
+            event="load.shed", retry_after_seconds=exc.retry_after_seconds,
+        )
+        return 429, error_payload(str(exc), 429, retry_after=exc.retry_after_seconds)
 
     def _make_run(self, relation, hyperparameters, deadline, fingerprint):
         """The job body for one discovery (shared by submit and recovery)."""
@@ -505,24 +475,11 @@ class DiscoveryService:
                     # Hard deadline: the worker process is terminated at
                     # the budget, not merely observed as late.
                     result = self.jobs.run_in_worker(
-                        _discover_job_task,
-                        (relation, hyperparameters),
-                        timeout=(
-                            deadline if deadline is not None
-                            else self.jobs.default_timeout
-                        ),
+                        _discover_job_task, (relation, hyperparameters),
+                        timeout=deadline or self.jobs.default_timeout,
                     )
                 else:
-                    fdx = FDX(
-                        lam=hyperparameters.lam,
-                        sparsity=hyperparameters.sparsity,
-                        ordering=hyperparameters.ordering,
-                        shrinkage=hyperparameters.shrinkage,
-                        max_rows_per_attribute=hyperparameters.max_rows_per_attribute,
-                        seed=hyperparameters.seed,
-                        tracer=self.tracer,
-                    )
-                    result = fdx.discover(relation).to_dict()
+                    result = _discover_job_task(relation, hyperparameters, self.tracer)
             self.cache.put(fingerprint, result)
             self._record_discovery(result, time.perf_counter() - started)
             return result
@@ -564,7 +521,7 @@ class DiscoveryService:
                 self.catalogs.get(existing_id) if existing_id else None
             )
             if existing is not None:
-                self.metrics.increment("idempotent_replays")
+                self.registry.counter("idempotent_replays").inc()
                 if wait:
                     self.catalogs.wait(existing)
                 status = self.catalogs.status(existing)
@@ -577,14 +534,8 @@ class DiscoveryService:
                 run = self.catalogs.submit(payload)
         except CatalogError as exc:
             return 400, error_payload(str(exc), 400)
-        except QuarantinedError as exc:
-            self.metrics.increment("requests_quarantined")
-            return 409, error_payload(str(exc), 409, reason="quarantined")
-        except QueueFullError as exc:
-            self.metrics.increment("requests_shed")
-            return 429, error_payload(
-                str(exc), 429, retry_after=exc.retry_after_seconds
-            )
+        except (QuarantinedError, QueueFullError) as exc:
+            return self._refused(exc)
         if idempotency_key:
             self._idempotency.put(f"catalog:{idempotency_key}", run.id)
         if wait:
@@ -664,7 +615,7 @@ class DiscoveryService:
         payload = payload if isinstance(payload, dict) else {}
         hyperparameters = Hyperparameters.from_payload(payload.get("hyperparameters"))
         session = self.sessions.create(hyperparameters)
-        self.metrics.increment("sessions_created")
+        self.registry.counter("sessions_created").inc()
         return 201, envelope(session.to_dict())
 
     def session_info(self, session_id: str) -> tuple[int, dict]:
@@ -675,8 +626,8 @@ class DiscoveryService:
             raise ProtocolError("request body must be a JSON object")
         batch = relation_from_wire(payload.get("relation"))
         info = self.sessions.append_batch(session_id, batch)
-        self.metrics.increment("session_batches")
-        self.metrics.increment("session_rows", by=batch.n_rows)
+        self.registry.counter("session_batches").inc()
+        self.registry.counter("session_rows").inc(batch.n_rows)
         return 200, envelope(info)
 
     def session_fds(self, session_id: str, force: bool = False) -> tuple[int, dict]:
@@ -685,12 +636,12 @@ class DiscoveryService:
             "service.session_discover", session_id=session_id, force=force
         ):
             outcome = self.sessions.discover(session_id, force=force)
-        self.metrics.increment("session_discoveries")
+        self.registry.counter("session_discoveries").inc()
         payload = outcome.result.to_dict()
         if outcome.solved:
             self._record_discovery(payload, time.perf_counter() - started)
         else:
-            self.metrics.increment("session_refreshes_debounced")
+            self.registry.counter("session_refreshes_debounced").inc()
         return 200, envelope(
             {
                 "session_id": session_id,
@@ -706,7 +657,7 @@ class DiscoveryService:
         return 200, envelope(self.sessions.drift(session_id))
 
     def checkpoint_session(self, session_id: str) -> tuple[int, dict]:
-        self.metrics.increment("session_checkpoints")
+        self.registry.counter("session_checkpoints").inc()
         return 200, envelope(self.sessions.checkpoint(session_id))
 
     def reset_session(self, session_id: str) -> tuple[int, dict]:
@@ -725,7 +676,7 @@ class DiscoveryService:
             {
                 "status": "ok",
                 "version": __version__,
-                "uptime_seconds": self.metrics.uptime_seconds(),
+                "uptime_seconds": self.uptime_seconds(),
             }
         )
 
@@ -794,8 +745,8 @@ class DiscoveryService:
             {
                 "status": status,
                 "version": __version__,
-                "started_at": self.metrics.started_at,
-                "uptime_seconds": self.metrics.uptime_seconds(),
+                "started_at": self.started_at,
+                "uptime_seconds": self.uptime_seconds(),
                 "checks": checks,
                 "jobs": {**jobs, "saturation": saturation},
                 "cache": self.cache.stats(),
@@ -810,71 +761,76 @@ class DiscoveryService:
         return (200 if ready else 503), body
 
     def metrics_payload(self) -> tuple[int, dict]:
-        snap = self.metrics.snapshot()
-        cache = self.cache.stats()
-        snap["cache"] = cache
-        snap["cache_hit_rate"] = cache["hit_rate"]
-        snap["jobs"] = self.jobs.stats()
-        snap["queue_depth"] = snap["jobs"]["queue_depth"]
-        snap["sessions"] = self.sessions.stats()
-        return 200, envelope(snap)
+        """JSON ``/v1/metrics``: the registry's counters and latency histograms.
+
+        Latencies are read from the same ``http_request_seconds``
+        histograms the Prometheus form renders, so they cover the whole
+        server lifetime at bucket resolution.
+        """
+        latency = {}
+        for name, _, _, histograms in self.registry.collect():
+            if name != REQUEST_SECONDS:
+                continue
+            for histogram in histograms:
+                snap = histogram.snapshot()
+                latency[dict(histogram.labels)["endpoint"]] = {
+                    "count": snap["count"],
+                    **{f"{q}_seconds": snap[q] for q in ("p50", "p95", "p99", "max")},
+                }
+        cache, jobs = self.cache.stats(), self.jobs.stats()
+        return 200, envelope({
+            "uptime_seconds": self.uptime_seconds(),
+            "counters": self.registry.counter_values(),
+            "latency": latency,
+            "cache": cache,
+            "cache_hit_rate": cache["hit_rate"],
+            "jobs": jobs,
+            "queue_depth": jobs["queue_depth"],
+            "sessions": self.sessions.stats(),
+        })
 
     def metrics_prometheus(self) -> str:
         """Text exposition for ``GET /v1/metrics?format=prometheus``."""
         gauge = self.registry.gauge
-        gauge("service_uptime_seconds", help="Seconds since service start").set(
-            self.metrics.uptime_seconds()
-        )
-        jobs = self.jobs.stats()
-        gauge("jobs_queue_depth", help="Jobs submitted but not yet running").set(
-            jobs["queue_depth"]
-        )
-        gauge("jobs_running", help="Jobs currently executing").set(jobs["running"])
-        gauge("jobs_workers", help="Worker pool size").set(jobs["workers"])
-        cache = self.cache.stats()
+        jobs, sessions = self.jobs.stats(), self.sessions.stats()
+        flight, solver = self.flight.stats(), self.solver_health.summary()
+        for name, help_text, value in (
+            ("service_uptime_seconds", "Seconds since service start",
+             self.uptime_seconds()),
+            ("jobs_queue_depth", "Jobs submitted but not yet running",
+             jobs["queue_depth"]),
+            ("jobs_running", "Jobs currently executing", jobs["running"]),
+            ("jobs_workers", "Worker pool size", jobs["workers"]),
+            ("sessions_active", "Open streaming sessions", sessions["active"]),
+            ("streaming_drift_score",
+             "Max drift score across sessions (last computed per session)",
+             sessions["drift"]["max_score"]),
+            ("streaming_drift_alerting",
+             "Sessions whose last drift assessment crossed the threshold",
+             sessions["drift"]["alerting"]),
+            ("flight_events_total",
+             "Events recorded by the flight recorder since start",
+             flight["events_total"]),
+            ("flight_buffer_fill", "Flight recorder ring occupancy (0..capacity)",
+             flight["buffer_fill"]),
+            ("flight_events_dropped_total",
+             "Flight events evicted from the ring before any dump",
+             flight["dropped_total"]),
+            ("solver_recent_nonconverged_ratio",
+             "Non-converged fraction of the recent solver-run window",
+             solver["recent_nonconverged_ratio"]),
+            ("jobs_quarantined_keys", "Work keys currently refused as quarantined",
+             jobs["quarantined_keys"]),
+        ):
+            gauge(name, help=help_text).set(value)
         gauge("cache_entries", labels={"cache": "results"},
-              help="Live cache entries").set(cache["entries"])
-        sessions = self.sessions.stats()
-        gauge("sessions_active", help="Open streaming sessions").set(
-            sessions["active"]
-        )
-        gauge(
-            "streaming_drift_score",
-            help="Max drift score across sessions (last computed per session)",
-        ).set(sessions["drift"]["max_score"])
-        gauge(
-            "streaming_drift_alerting",
-            help="Sessions whose last drift assessment crossed the threshold",
-        ).set(sessions["drift"]["alerting"])
-        flight = self.flight.stats()
-        gauge(
-            "flight_events_total",
-            help="Events recorded by the flight recorder since start",
-        ).set(flight["events_total"])
-        gauge(
-            "flight_buffer_fill",
-            help="Flight recorder ring occupancy (0..capacity)",
-        ).set(flight["buffer_fill"])
-        gauge(
-            "flight_events_dropped_total",
-            help="Flight events evicted from the ring before any dump",
-        ).set(flight["dropped_total"])
+              help="Live cache entries").set(self.cache.stats()["entries"])
         for reason, count in flight["dumps_by_reason"].items():
             gauge(
                 "flight_dumps_total", labels={"reason": reason},
                 help="Flight-recorder dumps written, by trigger reason",
             ).set(count)
-        solver = self.solver_health.summary()
-        gauge(
-            "solver_recent_nonconverged_ratio",
-            help="Non-converged fraction of the recent solver-run window",
-        ).set(solver["recent_nonconverged_ratio"])
-        gauge(
-            "jobs_quarantined_keys",
-            help="Work keys currently refused as quarantined",
-        ).set(jobs["quarantined_keys"])
-        storage = self.storage_status()
-        for writer in storage["writers"]:
+        for writer in self.storage_status()["writers"]:
             gauge(
                 "storage_writer_degraded", labels={"writer": writer["name"]},
                 help="1 when the named disk writer is buffering in memory",
@@ -889,32 +845,172 @@ class DiscoveryService:
 
 # -- HTTP shim ---------------------------------------------------------------
 
+class Request(NamedTuple):
+    """What a route's call sees of one HTTP request."""
+
+    id: str | None  # the path's ``<id>`` segment
+    query: dict[str, list[str]]
+    body: Any  # per the row's ``body``: decoded JSON, raw bytes or None
+    key: str | None  # the Idempotency-Key header
+
+    def param(self, name: str, default: str | None = None) -> str | None:
+        return self.query.get(name, [default])[0]
+
+    def int_param(self, name: str, default: int | None = None) -> int | None:
+        raw = self.param(name)
+        if raw is None:
+            return default
+        try:
+            return int(raw)
+        except ValueError:
+            raise ProtocolError(f"'{name}' must be an integer, got {raw!r}") from None
+
+
+class Route(NamedTuple):
+    """One endpoint; dispatch, SLO tracking and the docs test read this row."""
+
+    method: str
+    path: str  # ``<id>`` matches any one segment
+    name: str  # the ``endpoint`` label of metrics, logs and SLOs
+    slo: SloObjective
+    call: Callable[[DiscoveryService, Request], tuple[int, Any]]
+    body: str | None = None  # "json" (decoded), "raw" (bytes) or None (unread)
+
+
+def _metrics(service: DiscoveryService, request: Request) -> tuple[int, Any]:
+    fmt = request.param("format", "json")
+    if fmt == "prometheus":
+        return 200, PlainText(service.metrics_prometheus())
+    if fmt != "json":
+        return 400, error_payload(
+            f"unknown metrics format {fmt!r}; use json or prometheus", 400
+        )
+    return service.metrics_payload()
+
+
+# Objectives several rows share: endpoints that run the pipeline get
+# seconds, reads are expected to answer within milliseconds.
+_SLO_5S = SloObjective(5.0, 0.05)
+_SLO_1S = SloObjective(1.0, 0.05)
+_SLO_250MS = SloObjective(0.25, 0.02)
+
+#: The service's whole HTTP surface. Rows that share a name share an SLO.
+ROUTES: tuple[Route, ...] = (
+    Route("GET", "/v1/healthz", "healthz", SloObjective(0.1, 0.01),
+          lambda s, r: s.healthz()),
+    Route("GET", "/v1/statusz", "statusz", SloObjective(0.25, 0.01),
+          lambda s, r: s.statusz()),
+    Route("GET", "/v1/metrics", "metrics", _SLO_250MS, _metrics),
+    Route("GET", "/v1/debug/flight", "debug_flight", _SLO_1S,
+          lambda s, r: s.debug_flight(limit=r.int_param("limit"))),
+    Route("POST", "/v1/discover", "discover", _SLO_5S,
+          lambda s, r: s.discover_bytes(r.body, idempotency_key=r.key), body="raw"),
+    Route("POST", "/v1/catalog", "catalog", _SLO_1S,
+          lambda s, r: s.catalog_submit(r.body, idempotency_key=r.key), body="json"),
+    Route("GET", "/v1/catalog/<id>", "catalog_status", _SLO_1S,
+          lambda s, r: s.catalog_status(r.id)),
+    Route("GET", "/v1/jobs/<id>", "jobs", _SLO_250MS, lambda s, r: s.job_status(r.id)),
+    Route("DELETE", "/v1/jobs/<id>", "jobs", _SLO_250MS, lambda s, r: s.cancel_job(r.id)),
+    Route("GET", "/v1/jobs/<id>/explain", "jobs_explain", _SLO_250MS,
+          lambda s, r: s.explain_job(r.id, fd=r.param("fd"))),
+    Route("POST", "/v1/sessions", "sessions", _SLO_250MS,
+          lambda s, r: s.create_session(r.body), body="json"),
+    Route("GET", "/v1/sessions/<id>", "sessions", _SLO_250MS,
+          lambda s, r: s.session_info(r.id)),
+    Route("DELETE", "/v1/sessions/<id>", "sessions", _SLO_250MS,
+          lambda s, r: s.close_session(r.id)),
+    Route("POST", "/v1/sessions/<id>/reset", "sessions", _SLO_250MS,
+          lambda s, r: s.reset_session(r.id)),
+    Route("POST", "/v1/sessions/<id>/batches", "session_batches", _SLO_1S,
+          lambda s, r: s.append_batch(r.id, r.body), body="json"),
+    Route("GET", "/v1/sessions/<id>/fds", "session_fds", _SLO_5S,
+          lambda s, r: s.session_fds(
+              r.id, force=r.param("force", "0") not in ("0", "false", ""))),
+    Route("GET", "/v1/sessions/<id>/deltas", "session_deltas", _SLO_250MS,
+          lambda s, r: s.session_deltas(r.id, since=r.int_param("since", 0))),
+    Route("GET", "/v1/sessions/<id>/drift", "session_drift", _SLO_250MS,
+          lambda s, r: s.session_drift(r.id)),
+    Route("GET", "/v1/sessions/<id>/explain", "session_explain", _SLO_250MS,
+          lambda s, r: s.explain_session(r.id, fd=r.param("fd"))),
+    Route("POST", "/v1/sessions/<id>/checkpoint", "session_checkpoint", _SLO_1S,
+          lambda s, r: s.checkpoint_session(r.id)),
+)
+
+_PATTERNS = [(route, route.path.split("/")[1:]) for route in ROUTES]
+
+
+def match_route(method: str, path: str) -> tuple[Route | None, str | None]:
+    """The row serving ``method path`` and its ``<id>`` segment, if any.
+
+    Empty path segments are ignored. A known path under another method
+    matches nothing, so it answers 404 like an unknown path.
+    """
+    parts = [part for part in path.split("/") if part]
+    for route, pattern in _PATTERNS:
+        if route.method == method and len(pattern) == len(parts) and all(
+            want in (got, "<id>") for want, got in zip(pattern, parts)
+        ):
+            ids = [got for want, got in zip(pattern, parts) if want == "<id>"]
+            return route, (ids[0] if ids else None)
+    return None, None
+
+
+def read_body(headers, rfile) -> bytes | None:
+    """Read a request body by its ``Content-Length``; a bad length is a 400."""
+    raw_length = headers.get("Content-Length") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ProtocolError(f"bad Content-Length {raw_length!r}")
+    return rfile.read(length) if length else None
+
+
+def decode_body(raw: bytes | None) -> Any:
+    """Decode a JSON request body; every failure is a 400, never a 500.
+
+    ``ValueError`` covers malformed JSON and non-UTF-8 bytes; deeply
+    nested arrays make the parser raise ``RecursionError``.
+    """
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"invalid JSON body: {exc}") from exc
+
+
 def _make_handler(service: DiscoveryService, quiet: bool = True):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = f"repro-fdx/{__version__}"
-
-        # -- plumbing --------------------------------------------------
+        # Headers and body go out in two writes; with Nagle's algorithm
+        # on, a kept-alive reply's body waits for the client's delayed ACK.
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             # Default http.server stderr noise is replaced by one
             # structured JSONL line per request (see _route).
             pass
 
-        def _read_raw(self) -> bytes | None:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length == 0:
-                return None
-            return self.rfile.read(length)
+        def _call_route(self, method: str) -> tuple[str, int, Any]:
+            """Match a row, read its body once, call it.
 
-        def _read_json(self) -> Any:
-            raw = self._read_raw()
-            if raw is None:
-                return None
-            try:
-                return json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"invalid JSON body: {exc}") from exc
+            A call that raises leaves the request labelled ``"?"``, like
+            an unmatched path.
+            """
+            path, _, query = self.path.partition("?")
+            route, path_id = match_route(method, path)
+            if route is None:
+                return "?", 404, error_payload(f"no route for {method} {self.path!r}", 404)
+            body = read_body(self.headers, self.rfile) if route.body else None
+            if route.body == "json":
+                body = decode_body(body)
+            request = Request(
+                path_id, parse_qs(query), body, self.headers.get("Idempotency-Key")
+            )
+            return route.name, *route.call(service, request)
 
         def _reply(self, status: int, body: dict | PlainText) -> None:
             if isinstance(body, PlainText):
@@ -948,18 +1044,18 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
             # honoring a caller-provided X-Trace-Id.
             self._trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
             token = set_trace_id(self._trace_id)
-            service.metrics.increment("requests_total")
+            service.registry.counter("requests_total").inc()
             try:
                 with service.tracer.span(
                     "http.request", method=method, path=self.path
                 ) as request_span:
                     try:
-                        endpoint, status, body = self._dispatch(method)
+                        endpoint, status, body = self._call_route(method)
                     except ProtocolError as exc:
-                        service.metrics.increment("errors_total")
+                        service.registry.counter("errors_total").inc()
                         status, body = exc.status, error_payload(str(exc), exc.status)
                     except Exception as exc:  # noqa: BLE001 - never kill the thread
-                        service.metrics.increment("errors_total")
+                        service.registry.counter("errors_total").inc()
                         status, body = 500, error_payload(
                             f"internal error: {type(exc).__name__}: {exc}", 500
                         )
@@ -968,12 +1064,12 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
                     if faults.fires("http.reset"):
                         # Drop the connection without a response: clients see
                         # a reset, as if a proxy or the network ate the reply.
-                        service.metrics.increment("faults_injected")
+                        service.registry.counter("faults_injected").inc()
                         request_span.set_attributes(endpoint=endpoint, reset=True)
                         self.close_connection = True
                         return
                     if faults.fires("http.5xx"):
-                        service.metrics.increment("faults_injected")
+                        service.registry.counter("faults_injected").inc()
                         status, body = 500, error_payload(
                             "injected server error (chaos)", 500
                         )
@@ -982,12 +1078,15 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
                 try:
                     self._reply(status, body)
                 except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-                    service.metrics.increment("client_disconnects")
+                    service.registry.counter("client_disconnects").inc()
                     disconnected = True
                 duration = time.perf_counter() - started
                 breached = False
                 if not disconnected:
-                    service.metrics.observe_latency(endpoint, duration)
+                    service.registry.histogram(
+                        REQUEST_SECONDS, labels={"endpoint": endpoint},
+                        help="HTTP request latency by endpoint",
+                    ).observe(duration)
                     breached = service.slo.observe(endpoint, duration)
                 # A degraded /v1/statusz also answers 503 but carries a
                 # status body, not an error payload — don't record it.
@@ -1032,113 +1131,6 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
                           file=sys.stderr, flush=True)
             finally:
                 reset_trace_id(token)
-
-        def _dispatch(self, method: str) -> tuple[str, int, dict]:
-            path, _, query = self.path.partition("?")
-            parts = [p for p in path.split("/") if p]
-            if not parts or parts[0] != "v1":
-                return "?", 404, error_payload(f"no such path {self.path!r}", 404)
-            parts = parts[1:]
-
-            if parts == ["healthz"] and method == "GET":
-                return "healthz", *service.healthz()
-            if parts == ["statusz"] and method == "GET":
-                return "statusz", *service.statusz()
-            if parts == ["metrics"] and method == "GET":
-                from urllib.parse import parse_qs
-
-                fmt = parse_qs(query).get("format", ["json"])[0]
-                if fmt == "prometheus":
-                    return "metrics", 200, PlainText(service.metrics_prometheus())
-                if fmt != "json":
-                    return "metrics", 400, error_payload(
-                        f"unknown metrics format {fmt!r}; use json or prometheus", 400
-                    )
-                return "metrics", *service.metrics_payload()
-            if parts == ["debug", "flight"] and method == "GET":
-                from urllib.parse import parse_qs
-
-                raw_limit = parse_qs(query).get("limit", [None])[0]
-                limit = None
-                if raw_limit is not None:
-                    try:
-                        limit = int(raw_limit)
-                    except ValueError:
-                        raise ProtocolError(
-                            f"'limit' must be an integer, got {raw_limit!r}"
-                        ) from None
-                return "debug_flight", *service.debug_flight(limit=limit)
-            if parts == ["discover"] and method == "POST":
-                return "discover", *service.discover_bytes(
-                    self._read_raw(),
-                    idempotency_key=self.headers.get("Idempotency-Key"),
-                )
-            if parts == ["catalog"] and method == "POST":
-                return "catalog", *service.catalog_submit(
-                    self._read_json(),
-                    idempotency_key=self.headers.get("Idempotency-Key"),
-                )
-            if len(parts) == 2 and parts[0] == "catalog" and method == "GET":
-                return "catalog_status", *service.catalog_status(parts[1])
-            if len(parts) == 3 and parts[0] == "jobs" and parts[2] == "explain" \
-                    and method == "GET":
-                from urllib.parse import parse_qs
-
-                fd = parse_qs(query).get("fd", [None])[0]
-                return "jobs_explain", *service.explain_job(parts[1], fd=fd)
-            if len(parts) == 2 and parts[0] == "jobs":
-                if method == "GET":
-                    return "jobs", *service.job_status(parts[1])
-                if method == "DELETE":
-                    return "jobs", *service.cancel_job(parts[1])
-            if parts and parts[0] == "sessions":
-                return self._dispatch_sessions(method, parts[1:], query)
-            return "?", 404, error_payload(
-                f"no route for {method} {self.path!r}", 404
-            )
-
-        def _dispatch_sessions(
-            self, method: str, rest: list[str], query: str = ""
-        ) -> tuple[str, int, dict]:
-            from urllib.parse import parse_qs
-
-            params = parse_qs(query)
-            if not rest:
-                if method == "POST":
-                    return "sessions", *service.create_session(self._read_json())
-            elif len(rest) == 1:
-                if method == "GET":
-                    return "sessions", *service.session_info(rest[0])
-                if method == "DELETE":
-                    return "sessions", *service.close_session(rest[0])
-            elif len(rest) == 2:
-                sid, action = rest
-                if action == "batches" and method == "POST":
-                    return "session_batches", *service.append_batch(sid, self._read_json())
-                if action == "fds" and method == "GET":
-                    force = params.get("force", ["0"])[0] not in ("0", "false", "")
-                    return "session_fds", *service.session_fds(sid, force=force)
-                if action == "deltas" and method == "GET":
-                    raw_since = params.get("since", ["0"])[0]
-                    try:
-                        since = int(raw_since)
-                    except ValueError:
-                        raise ProtocolError(
-                            f"'since' must be an integer, got {raw_since!r}"
-                        ) from None
-                    return "session_deltas", *service.session_deltas(sid, since=since)
-                if action == "drift" and method == "GET":
-                    return "session_drift", *service.session_drift(sid)
-                if action == "explain" and method == "GET":
-                    fd = params.get("fd", [None])[0]
-                    return "session_explain", *service.explain_session(sid, fd=fd)
-                if action == "checkpoint" and method == "POST":
-                    return "session_checkpoint", *service.checkpoint_session(sid)
-                if action == "reset" and method == "POST":
-                    return "sessions", *service.reset_session(sid)
-            return "?", 404, error_payload(
-                f"no route for {method} {self.path!r}", 404
-            )
 
         def do_GET(self) -> None:  # noqa: N802
             self._route("GET")

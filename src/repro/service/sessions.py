@@ -287,7 +287,6 @@ class SessionManager:
         max_sessions: int = 256,
         ttl_seconds: float = 1800.0,
         checkpoint_dir: str | None = None,
-        metrics=None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         event_hook=None,
@@ -295,7 +294,6 @@ class SessionManager:
         self.max_sessions = max_sessions
         self.ttl_seconds = ttl_seconds
         self.checkpoint_dir = checkpoint_dir
-        self._metrics = metrics  # service Metrics facade (increment())
         self._registry = registry
         self._tracer = tracer
         #: Optional callable receiving streaming event dicts (drift alert
@@ -335,9 +333,12 @@ class SessionManager:
     # -- lifecycle ----------------------------------------------------------
 
     def create(self, hyperparameters: Hyperparameters | None = None) -> Session:
-        session = Session(
-            f"sess-{uuid.uuid4().hex[:16]}", hyperparameters or Hyperparameters()
-        )
+        try:
+            session = Session(
+                f"sess-{uuid.uuid4().hex[:16]}", hyperparameters or Hyperparameters()
+            )
+        except ValueError as exc:  # e.g. decay outside (0, 1]
+            raise SessionError(f"bad hyperparameters: {exc}") from exc
         self._wire_events(session)
         with self._lock:
             self._sweep_locked()
@@ -379,8 +380,8 @@ class SessionManager:
         for sid in stale:
             del self._sessions[sid]
             self.expired += 1
-            if self._metrics is not None:
-                self._metrics.increment("sessions_expired")
+            if self._registry is not None:
+                self._registry.counter("sessions_expired").inc()
             if self.checkpoint_dir:
                 delete_checkpoint(self.checkpoint_dir, sid)
 

@@ -1,7 +1,8 @@
 """Per-endpoint latency SLOs tracked as burn-rate counters.
 
 Each endpoint gets an :class:`SloObjective` — a latency threshold and an
-error budget (the fraction of requests allowed to miss it). Every
+error budget (the fraction of requests allowed to miss it). The service
+takes them from its route table (:data:`repro.service.server.ROUTES`). Every
 observed request increments two counters in the shared
 :class:`repro.obs.MetricsRegistry`:
 
@@ -30,7 +31,7 @@ from typing import Mapping
 
 from ..obs.registry import MetricsRegistry
 
-__all__ = ["DEFAULT_OBJECTIVES", "SloObjective", "SloTracker"]
+__all__ = ["SloObjective", "SloTracker"]
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,6 @@ class SloObjective:
         if not 0 < self.error_budget <= 1:
             raise ValueError("error budget must be in (0, 1]")
 
-
-#: Latency objectives per endpoint label (the handler's routing names).
-#: Discovery endpoints run the full pipeline and get seconds; the
-#: introspection endpoints are expected to answer within milliseconds.
-DEFAULT_OBJECTIVES: dict[str, SloObjective] = {
-    "discover": SloObjective(5.0, 0.05),
-    "session_fds": SloObjective(5.0, 0.05),
-    "session_batches": SloObjective(1.0, 0.05),
-    "session_deltas": SloObjective(0.25, 0.02),
-    "session_drift": SloObjective(0.25, 0.02),
-    "session_checkpoint": SloObjective(1.0, 0.05),
-    "sessions": SloObjective(0.25, 0.02),
-    "session_explain": SloObjective(0.25, 0.02),
-    "jobs": SloObjective(0.25, 0.02),
-    "jobs_explain": SloObjective(0.25, 0.02),
-    "healthz": SloObjective(0.1, 0.01),
-    "statusz": SloObjective(0.25, 0.01),
-    "metrics": SloObjective(0.25, 0.02),
-}
 
 #: Applied to endpoints without an explicit objective (including "?").
 FALLBACK_OBJECTIVE = SloObjective(1.0, 0.05)
@@ -84,9 +66,7 @@ class SloTracker:
         objectives: Mapping[str, SloObjective] | None = None,
     ) -> None:
         self.registry = registry
-        self.objectives = dict(
-            DEFAULT_OBJECTIVES if objectives is None else objectives
-        )
+        self.objectives = dict(objectives or {})
         self._handles: dict[str, tuple] = {}
 
     def objective_for(self, endpoint: str) -> SloObjective:

@@ -92,7 +92,7 @@ class TestConnectionResets:
         assert (("a0",), "a1") in fds
         # Exactly one discovery ran despite three submit attempts.
         assert discoveries_total(handle) == 1
-        counters = handle.service.metrics.snapshot()["counters"]
+        counters = handle.service.registry.counter_values()
         assert (counters.get("idempotent_replays", 0)
                 + counters.get("discover_cache_hits", 0)) >= 1
         assert_no_hung_jobs(handle)

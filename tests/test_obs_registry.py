@@ -1,8 +1,8 @@
 """Tests for the unified metrics registry (repro.obs.registry).
 
-Includes the regression for the re-homed ``_percentile``: the old
-banker's-``round`` nearest rank under-reported upper percentiles for
-some window sizes; the ceil-based rank is exact and monotonic.
+Includes the percentile regression: a banker's-``round`` nearest rank
+under-reports upper percentiles for some window sizes; the ceil-based
+rank is exact and monotonic.
 """
 
 import math
@@ -50,11 +50,6 @@ class TestPercentile:
             for q in (0.5, 0.9, 0.95, 0.99):
                 true_rank = min(max(math.ceil(q * n), 1), n)
                 assert percentile(values, q) == values[true_rank - 1]
-
-    def test_old_import_path_still_works(self):
-        from repro.service.metrics import _percentile
-
-        assert _percentile([1.0, 2.0, 3.0], 0.5) == 2.0
 
 
 class TestCounterGauge:

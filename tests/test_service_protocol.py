@@ -83,6 +83,38 @@ def test_hyperparameters_rejects_unknown_keys():
         Hyperparameters.from_payload("not an object")
 
 
+@pytest.mark.parametrize("payload", [
+    {"sparsity": "x"},
+    {"seed": "x"},
+    {"seed": True},  # bool is not a number
+    {"seed": 1.5},
+    {"lam": "abc"},
+    {"lam": -1},
+    {"lam": float("nan")},
+    {"lam": [1]},
+    {"sparsity": float("inf")},
+    {"shrinkage": 2.0},
+    {"ordering": "bogus"},
+    {"ordering": ["natural"]},
+    {"min_batch_rows": None},
+])
+def test_hyperparameters_reject_ill_typed(payload):
+    with pytest.raises(ProtocolError, match="bad hyperparameter") as excinfo:
+        Hyperparameters.from_payload(payload)
+    assert excinfo.value.status == 400
+
+
+@pytest.mark.parametrize("payload", [
+    {"lam": "ebic"},
+    {"lam": 0, "seed": 2**70},
+    {"max_rows_per_attribute": None},
+    {"max_rows_per_attribute": 100, "ordering": "amd", "decay": 0.5},
+    Hyperparameters().to_dict(),
+])
+def test_hyperparameters_accept_well_typed(payload):
+    assert Hyperparameters.from_payload(payload) == Hyperparameters(**payload)
+
+
 def test_hyperparameters_canonical_is_order_insensitive():
     a = Hyperparameters(lam=0.1, seed=3).canonical()
     b = Hyperparameters(seed=3, lam=0.1).canonical()

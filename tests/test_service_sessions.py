@@ -144,16 +144,16 @@ def test_len_sweeps_idle_sessions(monkeypatch):
 
 def test_expiry_emits_sessions_expired_metric(monkeypatch):
     import repro.service.sessions as sessions_mod
-    from repro.service.metrics import Metrics
+    from repro.obs.registry import MetricsRegistry
 
     now = [0.0]
     monkeypatch.setattr(sessions_mod.time, "monotonic", lambda: now[0])
-    metrics = Metrics()
-    manager = SessionManager(max_sessions=4, ttl_seconds=10.0, metrics=metrics)
+    registry = MetricsRegistry()
+    manager = SessionManager(max_sessions=4, ttl_seconds=10.0, registry=registry)
     manager.create()
     now[0] = 30.0
     manager.stats()
-    assert metrics.counter("sessions_expired") == 1
+    assert registry.counter("sessions_expired").value == 1
 
 
 def test_capacity_frees_expired_slots(monkeypatch):
