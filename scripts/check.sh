@@ -5,7 +5,8 @@
 # a fast benchmark smoke pass reported against the recorded trajectory
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
-# hash-seed / streaming / flight-recorder end-to-end smokes.
+# hash-seed / streaming / flight-recorder end-to-end smokes, and a check
+# that the benchmark's span wrappers still reach the pipeline.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -32,6 +33,42 @@ echo "== service smoke =="
 # The real `repro serve` subprocess: discover + session round trips and
 # malformed raw-socket bodies answered 400 by a server that stays healthy.
 PYTHON="$PYTHON" bash scripts/smoke_service.sh
+
+echo "== perfbench wiring smoke =="
+# The benchmark's traced run (perfbench/tracing.py) wraps pipeline entry
+# points by module and name: every target must still resolve, and one
+# discovery plus one streaming refresh must reach the wrapped names.
+"$PYTHON" - <<'PY'
+import sys
+
+sys.path.insert(0, "perfbench")
+import tracing
+
+recorder = tracing.Recorder()
+tracing.install(recorder)
+
+import numpy as np
+from repro import FDX
+from repro.core.incremental import IncrementalFDX
+from repro.datagen.synthetic import SyntheticSpec, generate
+from repro.streaming import refresh
+
+relation = generate(SyntheticSpec(n_tuples=400, n_attributes=8, seed=0)).relation
+FDX(lam=0.02).discover(relation)
+engine = IncrementalFDX()
+for k in range(2):
+    engine.add_batch(relation.select_rows(np.arange(200 * k, 200 * (k + 1))))
+refresh.refresh_solve(engine.snapshot())
+names = {span.name for span in recorder.spans}
+expected = {
+    "core.fdx.discover", "core.transform", "core.structure", "linalg.covariance",
+    "linalg.glasso", "core.fdx.generate_fds", "obs.explain.evidence",
+    "core.incremental.solve",
+}
+assert expected <= names, sorted(expected - names)
+print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
+      f"{len(recorder.spans)} spans over {len(names)} names")
+PY
 
 echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only

@@ -2,8 +2,8 @@
 # Smoke test for `python -m repro serve`: boots the real server process,
 # runs one discover round trip and one streaming-session round trip via
 # the Python client, checks the cache hit shows up in /v1/metrics, sends
-# malformed bodies over a raw socket (each must get a 400, and the server
-# must stay healthy), and exits nonzero on any failure. Invoked by
+# malformed bodies over a raw socket (each must get a 400, an oversized
+# Content-Length a 413, and the server must stay healthy), and exits nonzero on any failure. Invoked by
 # scripts/check.sh and the tier-2 pytest marker
 # (tests/test_service_smoke.py), and usable standalone:
 #
@@ -61,7 +61,7 @@ session_result = client.session_fds(session)
 assert FD(["a0"], "a1") in set(session_result.fds), session_result.fds
 client.close_session(session)
 
-# Malformed bodies over a raw socket: a typed 400, never a 500.
+# Malformed bodies over a raw socket: a typed 4xx, never a 500.
 import socket
 
 
@@ -79,6 +79,8 @@ def raw_status(head: bytes, body: bytes) -> int:
 
 
 assert raw_status(b"Content-Length: abc\r\n", b"{}") == 400
+# A declared length above the body cap is refused before reading.
+assert raw_status(b"Content-Length: 10000000000000\r\n", b"{}") == 413
 non_utf8 = b'{"relation": "\xff\xfe"}'
 assert raw_status(b"Content-Length: %d\r\n" % len(non_utf8), non_utf8) == 400
 assert client.healthz()["status"] == "ok"

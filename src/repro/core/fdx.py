@@ -30,11 +30,16 @@ from ..errors import (
     InsufficientRowsError,
 )
 from ..obs.explain import build_evidence
-from ..obs.profile import MemoryTracker
+from ..obs.profile import MemoryTracker, StageClock
 from ..obs.trace import Tracer, get_tracer
 from ..resilience.cancel import current_cancel_token
 from .fd import FD
-from .structure import learn_structure, learn_structure_resilient
+from .structure import (
+    StructureEstimate,
+    learn_structure,
+    learn_structure_resilient,
+    sample_covariance,
+)
 from .transform import (
     center_within_blocks,
     pair_difference_transform,
@@ -219,6 +224,80 @@ def generate_fds(
     return fds
 
 
+def build_result(
+    estimate: StructureEstimate,
+    names: list[str],
+    clock: StageClock,
+    *,
+    started: float,
+    sparsity: float,
+    n_pair_samples: int,
+    n_rows: int,
+    evidence: bool = True,
+    transform_seconds: float = 0.0,
+    input_warnings: list[str] | None = None,
+    diagnostics: dict | None = None,
+) -> FDXResult:
+    """FD generation on a fitted structure and the result around it: the
+    one result path of batch and streaming discovery.
+
+    ``model_seconds`` runs from ``started`` to the end of the clock's
+    ``fd_generation`` stage; the evidence ledger is built after it (it
+    reads the fitted model, it is not part of the pipeline's budget).
+    ``diagnostics`` holds the caller's own leading keys.
+    """
+    with clock.stage("fd_generation", "fdx.generate_fds", sparsity=sparsity):
+        fds = generate_fds(
+            estimate.autoregression, estimate.order, names, sparsity=sparsity
+        )
+    model_seconds = time.perf_counter() - started
+    diagnostics = {
+        **(diagnostics or {}),
+        "glasso_iterations": estimate.glasso_iterations,
+        "glasso_converged": estimate.glasso_converged,
+        "final_objective": estimate.glasso_objective,
+        "stage_seconds": dict(clock.seconds),
+        "degraded": estimate.degraded,
+        "solver_health": {
+            "runs": list(estimate.solver_runs),
+            "lambda": estimate.lambda_info,
+        },
+    }
+    if evidence:
+        diagnostics["evidence"] = build_evidence(
+            autoregression=estimate.autoregression,
+            order=estimate.order,
+            names=names,
+            precision=estimate.precision,
+            sparsity=sparsity,
+            n_pair_samples=n_pair_samples,
+            n_rows=n_rows,
+            lambda_info=estimate.lambda_info,
+            fallback_chain=estimate.fallback_chain,
+        )
+    if estimate.fallback_chain:
+        diagnostics["fallback_chain"] = estimate.fallback_chain
+    if input_warnings:
+        diagnostics["input_warnings"] = input_warnings
+    if clock.memory.enabled:
+        diagnostics["stage_bytes"] = dict(clock.memory.stage_bytes)
+    if estimate.glasso_trace is not None:
+        diagnostics["glasso_objective_trace"] = [
+            step["objective"] for step in estimate.glasso_trace
+        ]
+    return FDXResult(
+        fds=fds,
+        attribute_order=[names[i] for i in estimate.order],
+        autoregression=estimate.factorization.autoregression_in_original_order(),
+        precision=estimate.precision,
+        covariance=estimate.covariance,
+        transform_seconds=transform_seconds,
+        model_seconds=model_seconds,
+        n_pair_samples=n_pair_samples,
+        diagnostics=diagnostics,
+    )
+
+
 class FDX:
     """The FDX FD-discovery method.
 
@@ -364,45 +443,6 @@ class FDX:
             samples = center_within_blocks(samples, relation.n_attributes)
         return samples
 
-    def _diagnostics(
-        self,
-        relation: Relation,
-        input_warnings: list[str],
-        *,
-        degraded: bool,
-        solver_runs: list,
-        lambda_info: dict | None,
-        autoregression: np.ndarray,
-        order: np.ndarray,
-        precision: np.ndarray,
-        n_pair_samples: int,
-        fallback_chain: list,
-    ) -> dict:
-        """The diagnostics every discovery reports, full run or not: the
-        degradation flag, solver health, the evidence ledger, and the
-        fallback chain and input warnings when there are any."""
-        diagnostics = {
-            "degraded": degraded,
-            "solver_health": {"runs": list(solver_runs), "lambda": lambda_info},
-        }
-        if self.evidence:
-            diagnostics["evidence"] = build_evidence(
-                autoregression=autoregression,
-                order=order,
-                names=relation.schema.names,
-                precision=precision,
-                sparsity=self.sparsity,
-                n_pair_samples=n_pair_samples,
-                n_rows=relation.n_rows,
-                lambda_info=lambda_info,
-                fallback_chain=fallback_chain,
-            )
-        if fallback_chain:
-            diagnostics["fallback_chain"] = fallback_chain
-        if input_warnings:
-            diagnostics["input_warnings"] = input_warnings
-        return diagnostics
-
     def discover(self, relation: Relation) -> FDXResult:
         """Discover FDs in ``relation`` (paper Algorithm 1).
 
@@ -417,9 +457,27 @@ class FDX:
         cancel_token = current_cancel_token()
         names = relation.schema.names
         if relation.n_attributes < 2:
-            # Nothing to learn; the same explainability keys as a full
-            # run, so explain surfaces answer (with empty ledgers).
+            # Nothing to learn; the explainability keys of a full run, so
+            # explain surfaces answer (with empty ledgers).
             p = relation.n_attributes
+            diagnostics = {
+                "degraded": False,
+                "solver_health": {"runs": [], "lambda": None},
+            }
+            if self.evidence:
+                diagnostics["evidence"] = build_evidence(
+                    autoregression=np.zeros((p, p)),
+                    order=np.arange(p),
+                    names=names,
+                    precision=np.eye(p),
+                    sparsity=self.sparsity,
+                    n_pair_samples=0,
+                    n_rows=relation.n_rows,
+                    lambda_info=None,
+                    fallback_chain=[],
+                )
+            if input_warnings:
+                diagnostics["input_warnings"] = input_warnings
             return FDXResult(
                 fds=[],
                 attribute_order=names,
@@ -429,98 +487,52 @@ class FDX:
                 transform_seconds=0.0,
                 model_seconds=0.0,
                 n_pair_samples=0,
-                diagnostics=self._diagnostics(
-                    relation, input_warnings,
-                    degraded=False,
-                    solver_runs=[],
-                    lambda_info=None,
-                    autoregression=np.zeros((p, p)),
-                    order=np.arange(p),
-                    precision=np.eye(p),
-                    n_pair_samples=0,
-                    fallback_chain=[],
-                ),
+                diagnostics=diagnostics,
             )
         tracer = self.tracer if self.tracer is not None else get_tracer()
-        memory = MemoryTracker(enabled=self.track_memory)
+        clock = StageClock(tracer, MemoryTracker(enabled=self.track_memory))
         learner = learn_structure_resilient if self.resilient else learn_structure
         t0 = time.perf_counter()
         with tracer.span(
             "fdx.discover",
             n_rows=relation.n_rows,
             n_attributes=relation.n_attributes,
-        ) as root, memory:
-            with tracer.span("fdx.transform", kind=self.transform), \
-                    memory.stage("transform"):
+        ) as root, clock.memory:
+            with clock.stage("transform", "fdx.transform", kind=self.transform):
                 samples = self.transform_relation(relation)
             if cancel_token is not None:
                 cancel_token.raise_if_cancelled()
             t1 = time.perf_counter()
-            estimate = learner(
+            S = sample_covariance(
                 samples,
+                assume_centered=self.center_blocks and self.transform == "circular",
+                clock=clock,
+            )
+            estimate = learner(
+                S,
+                samples.shape[0],
                 lam=self.lam,
                 ordering=self.ordering,
                 shrinkage=self.shrinkage,
-                assume_centered=self.center_blocks and self.transform == "circular",
                 estimator=self.estimator,
                 max_iter=self.glasso_max_iter,
-                tracer=tracer,
-                memory=memory,
+                clock=clock,
             )
             if cancel_token is not None:
                 cancel_token.raise_if_cancelled()
-            t_gen = time.perf_counter()
-            with tracer.span("fdx.generate_fds", sparsity=self.sparsity), \
-                    memory.stage("fd_generation"):
-                fds = generate_fds(
-                    estimate.autoregression, estimate.order, names,
-                    sparsity=self.sparsity,
-                )
-            t2 = time.perf_counter()
-            root.set_attributes(
-                n_fds=len(fds),
+            result = build_result(
+                estimate, names, clock,
+                started=t1,
+                sparsity=self.sparsity,
                 n_pair_samples=int(samples.shape[0]),
+                n_rows=relation.n_rows,
+                evidence=self.evidence,
+                transform_seconds=t1 - t0,
+                input_warnings=input_warnings,
+            )
+            root.set_attributes(
+                n_fds=len(result.fds),
+                n_pair_samples=result.n_pair_samples,
                 glasso_iterations=estimate.glasso_iterations,
             )
-        stage_seconds = {
-            "transform": t1 - t0,
-            **estimate.stage_seconds,
-            "fd_generation": t2 - t_gen,
-        }
-        # Evidence is built outside the timed stages: the ledger reads
-        # the fitted model, it is not part of the pipeline's budget.
-        diagnostics = {
-            "glasso_iterations": estimate.glasso_iterations,
-            "glasso_converged": estimate.glasso_converged,
-            "final_objective": estimate.glasso_objective,
-            "stage_seconds": stage_seconds,
-            **self._diagnostics(
-                relation, input_warnings,
-                degraded=estimate.degraded,
-                solver_runs=estimate.solver_runs,
-                lambda_info=estimate.lambda_info,
-                autoregression=estimate.autoregression,
-                order=estimate.order,
-                precision=estimate.precision,
-                n_pair_samples=int(samples.shape[0]),
-                fallback_chain=estimate.fallback_chain,
-            ),
-        }
-        if memory.enabled:
-            diagnostics["stage_bytes"] = dict(memory.stage_bytes)
-        if estimate.glasso_trace is not None:
-            diagnostics["glasso_objective_trace"] = [
-                step["objective"] for step in estimate.glasso_trace
-            ]
-        order_names = [names[i] for i in estimate.order]
-        return FDXResult(
-            fds=fds,
-            attribute_order=order_names,
-            autoregression=estimate.factorization.autoregression_in_original_order(),
-            precision=estimate.precision,
-            covariance=estimate.covariance,
-            transform_seconds=t1 - t0,
-            model_seconds=t2 - t1,
-            n_pair_samples=samples.shape[0],
-            diagnostics=diagnostics,
-        )
+        return result

@@ -5,7 +5,9 @@ FDX's statistical formulation makes the incremental case natural: the
 only data-dependent state is the second-moment matrix of the transformed
 sample, which is additive over batches. :class:`IncrementalFDX`
 accumulates ``X^T X`` and the sample count as row batches arrive and can
-produce up-to-date FDs at any point without revisiting old rows.
+produce up-to-date FDs at any point without revisiting old rows: the
+accumulated covariance and its (decayed) sample count go straight to
+structure learning, which takes nothing else.
 
 Each batch is transformed independently (Algorithm 2 within the batch,
 block-centered), so the estimate converges to the batch estimate as
@@ -31,9 +33,11 @@ import numpy as np
 
 from ..dataset.relation import MISSING, Relation
 from ..dataset.schema import Attribute, AttributeType, Schema
+from ..obs.profile import StageClock
 from ..obs.trace import Tracer
-from .fd import FD
-from .fdx import FDXResult, generate_fds
+# generate_fds is not called here (build_result generates the FDs); it
+# stays importable because perfbench/tracing.py patches it by this name.
+from .fdx import FDXResult, build_result, generate_fds  # noqa: F401
 from .structure import learn_structure
 from .transform import center_within_blocks, pair_difference_transform
 
@@ -85,59 +89,34 @@ def discover_from_stats(
 ) -> FDXResult:
     """Stateless solve: FDs implied by a :class:`StreamStats` snapshot.
 
+    The snapshot's covariance and sample count go to structure learning
+    as they are, and the batch result path assembles the result.
     ``warm_start`` (a previous solve's precision matrix) threads through
     to the graphical lasso's ``Theta0`` initialization — on a refresh
     whose statistics moved only slightly, the solver converges in one or
     two outer sweeps instead of re-deriving the structure cold.
     """
-    t0 = time.perf_counter()
-    cov = stats.covariance()
+    clock = StageClock(tracer)
+    started = time.perf_counter()
     estimate = learn_structure(
-        _virtual_samples(cov),
+        stats.covariance(),
+        stats.n_samples,
         lam=lam,
         ordering=ordering,
         shrinkage=shrinkage,
-        assume_centered=True,
-        tracer=tracer,
+        clock=clock,
         warm_start=warm_start,
     )
-    names = stats.schema.names
-    fds: list[FD] = generate_fds(
-        estimate.autoregression, estimate.order, names, sparsity=sparsity
-    )
-    from ..obs.explain import build_evidence
-
-    evidence = build_evidence(
-        autoregression=estimate.autoregression,
-        order=estimate.order,
-        names=names,
-        precision=estimate.precision,
+    return build_result(
+        estimate, stats.schema.names, clock,
+        started=started,
         sparsity=sparsity,
         n_pair_samples=int(stats.n_samples),
         n_rows=stats.n_rows_seen,
-        lambda_info=estimate.lambda_info,
-        fallback_chain=estimate.fallback_chain,
-    )
-    return FDXResult(
-        fds=fds,
-        attribute_order=[names[i] for i in estimate.order],
-        autoregression=estimate.factorization.autoregression_in_original_order(),
-        precision=estimate.precision,
-        covariance=estimate.covariance,
-        transform_seconds=0.0,
-        model_seconds=time.perf_counter() - t0,
-        n_pair_samples=int(stats.n_samples),
         diagnostics={
             "incremental": True,
             "n_batches": stats.n_batches,
-            "glasso_iterations": estimate.glasso_iterations,
-            "glasso_converged": estimate.glasso_converged,
             "warm_start": warm_start is not None,
-            "solver_health": {
-                "runs": list(estimate.solver_runs),
-                "lambda": estimate.lambda_info,
-            },
-            "evidence": evidence,
         },
     )
 
@@ -369,9 +348,6 @@ class IncrementalFDX:
         previous precision matrix into the solver (see
         :func:`discover_from_stats`).
         """
-        # learn_structure consumes raw samples; feed it a virtual sample
-        # whose second moment equals the accumulated one by decomposing
-        # the covariance (eigendecomposition => exact moment match).
         return discover_from_stats(
             self.snapshot(flush=True),
             lam=self.lam,
@@ -381,20 +357,3 @@ class IncrementalFDX:
             warm_start=warm_start,
         )
 
-
-def _virtual_samples(cov: np.ndarray) -> np.ndarray:
-    """A tiny sample matrix whose zero-mean second moment equals ``cov``.
-
-    With eigendecomposition ``cov = V diag(w) V^T``, the ``2p`` rows
-    ``±sqrt(p * w_i) v_i`` satisfy ``X^T X / (2p) = cov`` exactly, letting
-    the batch estimator run unchanged on accumulated statistics.
-    """
-    w, V = np.linalg.eigh(cov)
-    w = np.clip(w, 0.0, None)
-    p = cov.shape[0]
-    rows = []
-    for i in range(p):
-        v = np.sqrt(p * w[i]) * V[:, i]
-        rows.append(v)
-        rows.append(-v)
-    return np.asarray(rows)

@@ -1,16 +1,21 @@
 """Structure learning for FDX (paper §4.2).
 
-Estimates the sparse precision matrix of the transformed sample and
-factorizes it under a global attribute order:
+Estimates the sparse precision matrix from the covariance ``S`` of the
+transformed sample and factorizes it under a global attribute order:
 
 ``Theta = U D U^T`` with ``U`` unit upper-triangular, so ``B = I - U`` is
 the strictly-upper autoregression matrix of the linear SEM
 ``Z = B^T Z + eps`` whose non-zero pattern encodes the FDs.
+
+``S`` and its sample count are the whole input (paper Algorithm 1:
+``Theta = GraphicalLasso(cov(Dt))``): batch discovery estimates it once
+with :func:`sample_covariance`, streaming discovery passes its
+accumulated second moment, and a robust estimator's ``S`` (see
+:mod:`repro.linalg.robust`) is passed the same way.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +31,7 @@ from ..linalg.glasso import graphical_lasso
 from ..linalg.neighborhood import neighborhood_selection
 from ..linalg.ordering import compute_order
 from ..linalg.robust import condition_number_estimate, psd_projection
-from ..obs.profile import MemoryTracker
-from ..obs.trace import Tracer, get_tracer
+from ..obs.profile import StageClock
 from ..resilience import faults
 from ..resilience.cancel import CancelledError, current_cancel_token
 from ..resilience.watchdog import current_heartbeat
@@ -44,11 +48,6 @@ class StructureEstimate:
     glasso_converged: bool
     #: Final graphical-lasso objective (None for the neighborhood estimator).
     glasso_objective: float | None = None
-    #: Per-stage wall-clock seconds: covariance / glasso / factorization.
-    stage_seconds: dict = field(default_factory=dict)
-    #: Per-stage peak traced bytes (same keys), only when a
-    #: :class:`repro.obs.MemoryTracker` was enabled for the run.
-    stage_bytes: dict = field(default_factory=dict)
     #: Per-iteration ``{iteration, objective, duality_gap, change}`` dicts,
     #: recorded only when tracing is enabled (the callback costs O(p^3)).
     glasso_trace: list | None = None
@@ -85,67 +84,73 @@ def _finite_or_none(value) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def learn_structure(
+def sample_covariance(
     samples: np.ndarray,
+    assume_centered: bool = False,
+    clock: StageClock | None = None,
+) -> np.ndarray:
+    """Covariance ``S`` of the transformed sample ``Dt`` (rows = tuple
+    pairs), timed as part of the clock's ``covariance`` stage.
+
+    With ``assume_centered`` the mean is fixed at zero (the second-moment
+    estimator of the block-centered circular transform).
+    """
+    clock = clock if clock is not None else StageClock()
+    with clock.stage("covariance", "structure.covariance", estimator="empirical"):
+        return empirical_covariance_chunked(
+            np.asarray(samples, dtype=float), assume_centered=assume_centered
+        )
+
+
+def learn_structure(
+    S: np.ndarray,
+    n_samples: float,
     lam: float | str = 0.05,
     ordering: str = "mindegree",
     shrinkage: float = 0.01,
-    assume_centered: bool = False,
-    standardize: bool = True,
     estimator: str = "glasso",
-    covariance: str = "empirical",
     max_iter: int = 100,
     precondition: bool = False,
-    tracer: Tracer | None = None,
-    memory: MemoryTracker | None = None,
+    clock: StageClock | None = None,
     warm_start: np.ndarray | None = None,
 ) -> StructureEstimate:
-    """Estimate the ordered linear-SEM structure of ``samples``.
+    """Estimate the ordered linear-SEM structure implied by covariance ``S``.
 
     Parameters
     ----------
-    samples:
-        The transformed binary sample ``Dt`` (rows = tuple pairs).
+    S:
+        Covariance of the transformed binary sample ``Dt`` — from
+        :func:`sample_covariance`, a stream's accumulated second moment,
+        or a robust estimator of :mod:`repro.linalg.robust`.
+    n_samples:
+        Number of samples behind ``S`` (a stream's decayed count may be
+        fractional); the eBIC penalty rule scores with it.
     lam:
         Graphical-lasso L1 penalty controlling the sparsity of the
-        estimated precision matrix.
+        estimated precision matrix, or ``"ebic"`` to select it.
     ordering:
         Variable-ordering heuristic for the factorization (paper Table 9);
         one of :data:`repro.linalg.ordering.ORDERING_METHODS`.
     shrinkage:
-        Identity shrinkage applied to the empirical covariance before the
+        Identity shrinkage applied to the correlation matrix before the
         graphical lasso, stabilizing near-singular covariances produced by
         (near-)constant agreement columns.
-    assume_centered:
-        Fix the sample mean at zero (second-moment estimator).
-    standardize:
-        Run the graphical lasso on the correlation matrix instead of the
-        raw covariance, making ``lam`` comparable across data sets whose
-        agreement variances differ (nearly-constant agreement columns have
-        tiny variance and would otherwise be penalized out of existence).
     estimator:
         ``"glasso"`` (paper default) or ``"neighborhood"`` — Meinshausen-
         Buehlmann nodewise-lasso selection, the "efficient regression
         methods" family the paper cites as the alternative (§2.2).
-    covariance:
-        ``"empirical"`` (default), ``"trimmed"`` or ``"spearman"`` —
-        robust alternatives from :mod:`repro.linalg.robust` for inputs
-        with adversarial rows (the paper's refs [6, 12]).
-    tracer:
-        Observability tracer; defaults to the process-global one (a
-        no-op unless enabled). Emits ``structure.covariance``,
-        ``structure.glasso`` and ``structure.factorization`` spans, and
-        — when enabled — records a per-iteration objective/duality-gap
-        trace from the graphical lasso.
     precondition:
         Project the covariance estimate onto the PD cone (eigenvalue
         floor ``1e-6``) before the solver — the reconditioning step of
         the fallback ladder for ill-conditioned inputs.
-    memory:
-        Per-stage peak-memory tracker (:class:`repro.obs.MemoryTracker`);
-        when enabled, records ``covariance`` / ``glasso`` /
-        ``factorization`` entries in ``stage_bytes``. Defaults to a
-        disabled no-op tracker.
+    clock:
+        The run's :class:`repro.obs.StageClock`: times the
+        ``covariance`` / ``glasso`` / ``factorization`` stages into its
+        ``seconds`` (and memory tracker) and emits the
+        ``structure.covariance``, ``structure.glasso`` and
+        ``structure.factorization`` spans. With tracing enabled the
+        graphical lasso also records a per-iteration objective /
+        duality-gap trace. Defaults to a clock on the global tracer.
     warm_start:
         Optional previous precision matrix handed to the graphical lasso
         as its ``Theta0`` initialization (streaming refreshes re-solve
@@ -153,13 +158,18 @@ def learn_structure(
         cuts the outer sweeps to one or two). Only the ``"glasso"``
         estimator uses it; the estimate is unchanged within solver
         tolerance.
+
+    The graphical lasso always runs on the correlation matrix of ``S``,
+    making ``lam`` comparable across data sets whose agreement variances
+    differ (nearly-constant agreement columns have tiny variance and
+    would otherwise be penalized out of existence).
     """
-    tracer = tracer if tracer is not None else get_tracer()
-    memory = memory if memory is not None else MemoryTracker(enabled=False)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ValueError("samples must be a 2-D matrix")
-    if samples.size and not np.isfinite(samples).all():
+    clock = clock if clock is not None else StageClock()
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("S must be a square covariance matrix")
+    if not np.isfinite(S).all():
+        # Any non-finite sample makes its column's variance non-finite.
         raise InputValidationError(
             "transformed samples contain non-finite values (NaN/Inf); "
             "clean or impute the input before discovery"
@@ -182,26 +192,9 @@ def learn_structure(
         should_abort = heartbeat.beat
     else:
         should_abort = None
-    t0 = time.perf_counter()
-    with tracer.span("structure.covariance", estimator=covariance,
-                     shrinkage=shrinkage, standardize=standardize), \
-            memory.stage("covariance"):
-        if covariance == "empirical":
-            S = empirical_covariance_chunked(
-                samples, assume_centered=assume_centered
-            )
-        elif covariance == "trimmed":
-            from ..linalg.robust import trimmed_covariance
-
-            S = trimmed_covariance(samples, assume_centered=assume_centered)
-        elif covariance == "spearman":
-            from ..linalg.robust import spearman_covariance
-
-            S = spearman_covariance(samples)
-        else:
-            raise ValueError(f"unknown covariance estimator {covariance!r}")
-        if standardize:
-            S = correlation_from_covariance(S)
+    with clock.stage("covariance", "structure.covariance",
+                     shrinkage=shrinkage, standardize=True):
+        S = correlation_from_covariance(S)
         if shrinkage > 0:
             S = shrunk_covariance(S, shrinkage)
         if precondition:
@@ -215,7 +208,7 @@ def learn_structure(
                 raise ValueError(f"unknown penalty rule {lam!r}; use a float or 'ebic'")
             from ..linalg.model_selection import select_lambda_ebic
 
-            selection = select_lambda_ebic(S, n_samples=samples.shape[0])
+            selection = select_lambda_ebic(S, n_samples=n_samples)
             grid = [float(g) for g in selection.scores]
             lam = selection.best_lambda
             lambda_info = {
@@ -234,15 +227,13 @@ def learn_structure(
             }
         else:
             lambda_info = {"mode": "fixed", "selected": float(lam)}
-    t1 = time.perf_counter()
     glasso_objective: float | None = None
     glasso_trace: list | None = None
-    with tracer.span("structure.glasso", estimator=estimator, lam=float(lam),
-                     warm_start=warm_start is not None) as span, \
-            memory.stage("glasso"):
+    with clock.stage("glasso", "structure.glasso", estimator=estimator,
+                     lam=float(lam), warm_start=warm_start is not None) as span:
         if estimator == "glasso":
             callback = None
-            if tracer.enabled:
+            if clock.tracer.enabled:
                 glasso_trace = []
                 callback = glasso_trace.append
             result = graphical_lasso(
@@ -254,18 +245,8 @@ def learn_structure(
             if faults.fires("glasso.nonconverge"):
                 converged = False  # chaos harness: simulated non-convergence
             glasso_objective = result.objective
-            solver_run = {
-                "stage": "configured",
-                "estimator": "glasso",
-                "lam": float(lam),
-                "iterations": int(iterations),
-                "converged": bool(converged),
-                "objective": _finite_or_none(result.objective),
-                "duality_gap": _finite_or_none(result.dual_gap),
-                "active_set_size": int(result.support.sum()) // 2,
-                "condition_number": float(condition_number),
-                "warm_start": warm_start is not None,
-            }
+            duality_gap = result.dual_gap
+            active_set_size = int(result.support.sum()) // 2
             span.set_attributes(
                 iterations=iterations,
                 converged=converged,
@@ -281,32 +262,17 @@ def learn_structure(
                     [step["duality_gap"] for step in glasso_trace],
                 )
         elif estimator == "neighborhood":
-            nb = neighborhood_selection(S, lam)
-            precision = nb.precision
-            iterations, converged = 1, True
+            precision = neighborhood_selection(S, lam).precision
+            iterations, converged, duality_gap = 1, True, None
             off_support = np.abs(precision) > 1e-10
             np.fill_diagonal(off_support, False)
-            solver_run = {
-                "stage": "configured",
-                "estimator": "neighborhood",
-                "lam": float(lam),
-                "iterations": 1,
-                "converged": True,
-                "objective": None,
-                "duality_gap": None,
-                "active_set_size": int(off_support.sum()) // 2,
-                "condition_number": float(condition_number),
-                "warm_start": False,
-            }
+            active_set_size = int(off_support.sum()) // 2
             span.set_attributes(iterations=1, converged=True)
         else:
             raise ValueError(f"unknown estimator {estimator!r}")
-    t2 = time.perf_counter()
-    with tracer.span("structure.factorization", ordering=ordering), \
-            memory.stage("factorization"):
+    with clock.stage("factorization", "structure.factorization", ordering=ordering):
         order = compute_order(precision, method=ordering)
         factorization = factorize_with_order(precision, order)
-    t3 = time.perf_counter()
     return StructureEstimate(
         covariance=S,
         precision=precision,
@@ -314,15 +280,20 @@ def learn_structure(
         glasso_iterations=iterations,
         glasso_converged=converged,
         glasso_objective=glasso_objective,
-        stage_seconds={
-            "covariance": t1 - t0,
-            "glasso": t2 - t1,
-            "factorization": t3 - t2,
-        },
-        stage_bytes=dict(memory.stage_bytes) if memory.enabled else {},
         glasso_trace=glasso_trace,
         lambda_info=lambda_info,
-        solver_runs=[solver_run],
+        solver_runs=[{
+            "stage": "configured",
+            "estimator": estimator,
+            "lam": float(lam),
+            "iterations": int(iterations),
+            "converged": bool(converged),
+            "objective": _finite_or_none(glasso_objective),
+            "duality_gap": _finite_or_none(duality_gap),
+            "active_set_size": active_set_size,
+            "condition_number": float(condition_number),
+            "warm_start": warm_start is not None and estimator == "glasso",
+        }],
     )
 
 
@@ -346,17 +317,14 @@ def _estimate_is_sound(estimate: StructureEstimate) -> bool:
 
 
 def learn_structure_resilient(
-    samples: np.ndarray,
+    S: np.ndarray,
+    n_samples: float,
     lam: float | str = 0.05,
     ordering: str = "mindegree",
     shrinkage: float = 0.01,
-    assume_centered: bool = False,
-    standardize: bool = True,
     estimator: str = "glasso",
-    covariance: str = "empirical",
     max_iter: int = 100,
-    tracer: Tracer | None = None,
-    memory: MemoryTracker | None = None,
+    clock: StageClock | None = None,
     warm_start: np.ndarray | None = None,
 ) -> StructureEstimate:
     """:func:`learn_structure` behind a graceful-degradation ladder.
@@ -375,10 +343,13 @@ def learn_structure_resilient(
     4. **identity** — an empty model (no FDs) as the last resort, so a
        valid input *always* yields a result.
 
+    Every rung solves from the same ``S`` and times its stages on the
+    same ``clock``, so the clock's seconds cover every rung attempted.
     Cancellation (:class:`repro.resilience.CancelledError`) and input
     validation errors are never swallowed — they are contracts with the
     caller, not solver failures.
     """
+    clock = clock if clock is not None else StageClock()
     boosted = lam * LAM_BOOST if isinstance(lam, (int, float)) else 0.1
     rungs: list[tuple[str, dict]] = [
         ("configured", dict(lam=lam, estimator=estimator, shrinkage=shrinkage,
@@ -404,14 +375,11 @@ def learn_structure_resilient(
         }
         try:
             candidate = learn_structure(
-                samples,
+                S,
+                n_samples,
                 ordering=ordering,
-                assume_centered=assume_centered,
-                standardize=standardize,
-                covariance=covariance,
                 max_iter=max_iter,
-                tracer=tracer,
-                memory=memory,
+                clock=clock,
                 warm_start=warm_start if stage == "configured" else None,
                 **overrides,
             )
@@ -443,7 +411,7 @@ def learn_structure_resilient(
     if estimate is None:
         # Every rung raised: synthesize the identity model so callers
         # still receive a (maximally conservative) result.
-        p = samples.shape[1]
+        p = np.shape(S)[0]
         eye = np.eye(p)
         estimate = StructureEstimate(
             covariance=eye,

@@ -5,8 +5,9 @@ The paper grounds FDX's robustness in recent robust-statistics results
 with fewer than half the samples corrupted, the structure of a
 distribution remains recoverable. The pair-difference transform removes
 *mean* corruption; the estimators here additionally resist heavy-tailed /
-adversarial rows, and plug into structure learning via
-``learn_structure(..., covariance="trimmed" | "spearman")``.
+adversarial rows. Structure learning takes a covariance, so a robust
+estimator is used by passing its ``S``:
+``learn_structure(spearman_covariance(X), len(X), ...)``.
 
 * :func:`trimmed_covariance` — coordinate-pair trimmed second moments:
   each entry averages the cross-products with the extreme fraction
@@ -18,8 +19,8 @@ adversarial rows, and plug into structure learning via
 
 Note: trimming suits *continuous* samples (e.g. the raw-data GL pipeline);
 on binary agreement indicators the informative co-agreement products live
-exactly in the tails the trimmer removes — use ``"spearman"`` or the
-default there.
+exactly in the tails the trimmer removes — use :func:`spearman_covariance`
+or the empirical covariance there.
 """
 
 from __future__ import annotations

@@ -13,8 +13,10 @@ Three stdlib-only pieces:
   JSONL file) plus the Prometheus text exposition served at
   ``GET /v1/metrics?format=prometheus``;
 * :mod:`~repro.obs.profile` — sampling wall-clock profiler
-  (collapsed-stack output for flamegraph tooling) and
-  ``tracemalloc``-based per-stage peak-memory accounting;
+  (collapsed-stack output for flamegraph tooling),
+  ``tracemalloc``-based per-stage peak-memory accounting, and the
+  :class:`~repro.obs.profile.StageClock` that times every pipeline
+  stage once for spans, ``stage_seconds`` and ``stage_bytes``;
 * :mod:`~repro.obs.bench` — the benchmark regression ledger behind
   ``python -m repro bench`` (``BENCH_<suite>.json`` trajectory,
   median+MAD regression detector);
@@ -48,7 +50,7 @@ from .explain import (
 from .export import chrome_trace_events, load_events, write_chrome_trace
 from .flight import FlightEvent, FlightRecorder, read_dump
 from .health import SolverHealthMonitor
-from .profile import MemoryTracker, SamplingProfiler
+from .profile import MemoryTracker, SamplingProfiler, StageClock
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -104,6 +106,7 @@ __all__ = [
     "SamplingProfiler",
     "SolverHealthMonitor",
     "Span",
+    "StageClock",
     "Tracer",
     "annotate_evidence",
     "build_evidence",

@@ -1,6 +1,6 @@
-"""Sampling profiler and per-stage memory accounting (stdlib only).
+"""Sampling profiler and per-stage time and memory accounting (stdlib only).
 
-Two independent tools complete the performance-observability layer:
+Three tools complete the performance-observability layer:
 
 * :class:`SamplingProfiler` — a wall-clock sampling profiler. A daemon
   thread wakes at a configurable rate (``hz``), snapshots every Python
@@ -21,6 +21,11 @@ Two independent tools complete the performance-observability layer:
   hands out a shared no-op context, keeping the instrumented hot path
   within the <=5% disabled-overhead budget enforced by
   ``benchmarks/test_bench_obs.py``.
+* :class:`StageClock` — the one stage timer of the pipeline. Each
+  ``with clock.stage("glasso", "structure.glasso"):`` block opens the
+  tracer span, enters the :class:`MemoryTracker` stage and adds its
+  elapsed seconds to ``clock.seconds["glasso"]``, so spans,
+  ``stage_seconds`` and ``stage_bytes`` come from one measurement.
 
 Usage::
 
@@ -35,6 +40,7 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import threading
@@ -42,9 +48,12 @@ import time
 import tracemalloc
 from collections import Counter
 
+from .trace import Tracer, get_tracer
+
 __all__ = [
     "MemoryTracker",
     "SamplingProfiler",
+    "StageClock",
 ]
 
 
@@ -271,3 +280,33 @@ class MemoryTracker:
         if not self.enabled:
             return _NULL_STAGE
         return _Stage(self, name)
+
+
+class StageClock:
+    """One measurement per pipeline stage: span, memory and seconds.
+
+    ``stage(key, span, **attributes)`` opens the tracer span ``span``,
+    enters the memory tracker's stage ``key`` and, on exit, adds the
+    elapsed wall seconds to ``seconds[key]``. The clock reads wrap the
+    span, so a stage's seconds are never below its spans' durations.
+    Entering a key again adds to it: a fallback-ladder run reports the
+    work of every rung, not only the last one.
+    """
+
+    def __init__(self, tracer: Tracer | None = None,
+                 memory: MemoryTracker | None = None) -> None:
+        self.tracer = tracer if tracer is not None else get_tracer()
+        self.memory = memory if memory is not None else MemoryTracker()
+        self.seconds: dict[str, float] = {}
+
+    @contextlib.contextmanager
+    def stage(self, key: str, span: str, **attributes):
+        started = time.perf_counter()
+        try:
+            with self.tracer.span(span, **attributes) as opened, \
+                    self.memory.stage(key):
+                yield opened
+        finally:
+            self.seconds[key] = (
+                self.seconds.get(key, 0.0) + time.perf_counter() - started
+            )

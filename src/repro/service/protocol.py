@@ -31,6 +31,11 @@ PROTOCOL_VERSION = 1
 #: Hard cap on cells per shipped relation (memory guard for one request).
 MAX_CELLS = 5_000_000
 
+#: Hard cap on a request's declared ``Content-Length``: 16 bytes for each
+#: cell of the largest relation :data:`MAX_CELLS` admits. A longer body
+#: answers 413 before a byte of it is read.
+MAX_BODY_BYTES = 16 * MAX_CELLS
+
 
 class ProtocolError(ValueError):
     """A malformed request payload; maps to an HTTP 4xx."""

@@ -51,6 +51,7 @@ from .cache import ResultCache, dataset_fingerprint
 from .catalog import CatalogManager
 from .jobs import DONE, Job, JobManager, QuarantinedError, QueueFullError
 from .protocol import (
+    MAX_BODY_BYTES,
     Hyperparameters,
     ProtocolError,
     envelope,
@@ -956,7 +957,11 @@ def match_route(method: str, path: str) -> tuple[Route | None, str | None]:
 
 
 def read_body(headers, rfile) -> bytes | None:
-    """Read a request body by its ``Content-Length``; a bad length is a 400."""
+    """Read a request body by its ``Content-Length``.
+
+    A bad length is a 400 and one above ``MAX_BODY_BYTES`` a 413; both
+    raise before reading, so the body is left unread on the connection.
+    """
     raw_length = headers.get("Content-Length") or "0"
     try:
         length = int(raw_length)
@@ -964,6 +969,11 @@ def read_body(headers, rfile) -> bytes | None:
         length = -1
     if length < 0:
         raise ProtocolError(f"bad Content-Length {raw_length!r}")
+    if length > MAX_BODY_BYTES:
+        raise ProtocolError(
+            f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+            status=413,
+        )
     return rfile.read(length) if length else None
 
 
@@ -1004,7 +1014,15 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
             route, path_id = match_route(method, path)
             if route is None:
                 return "?", 404, error_payload(f"no route for {method} {self.path!r}", 404)
-            body = read_body(self.headers, self.rfile) if route.body else None
+            body = None
+            if route.body:
+                try:
+                    body = read_body(self.headers, self.rfile)
+                except ProtocolError:
+                    # The body is still unread: nothing after it on this
+                    # connection can be parsed, so close it after the reply.
+                    self.close_connection = True
+                    raise
             if route.body == "json":
                 body = decode_body(body)
             request = Request(
@@ -1027,6 +1045,8 @@ def _make_handler(service: DiscoveryService, quiet: bool = True):
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
             self.send_header("X-Trace-Id", self._trace_id)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if status == 429 and isinstance(body, dict):
                 retry_after = body.get("error", {}).get("retry_after_seconds")
                 if retry_after is not None:

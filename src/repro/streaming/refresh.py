@@ -19,6 +19,7 @@ Two knobs keep refreshes cheap:
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -102,24 +103,14 @@ def refresh_solve(
     (the service points it at the flight recorder); it must not raise.
     """
     warm = warm_start is not None
+    span = contextlib.nullcontext() if tracer is None else tracer.span(
+        "session.refresh",
+        warm_start=warm,
+        n_rows_seen=stats.n_rows_seen,
+        n_batches=stats.n_batches,
+    )
     t0 = time.perf_counter()
-    if tracer is not None:
-        with tracer.span(
-            "session.refresh",
-            warm_start=warm,
-            n_rows_seen=stats.n_rows_seen,
-            n_batches=stats.n_batches,
-        ):
-            result = discover_from_stats(
-                stats,
-                lam=lam,
-                sparsity=sparsity,
-                ordering=ordering,
-                shrinkage=shrinkage,
-                warm_start=warm_start,
-                tracer=tracer,
-            )
-    else:
+    with span:
         result = discover_from_stats(
             stats,
             lam=lam,
@@ -127,6 +118,7 @@ def refresh_solve(
             ordering=ordering,
             shrinkage=shrinkage,
             warm_start=warm_start,
+            tracer=tracer,
         )
     seconds = time.perf_counter() - t0
     if metrics is not None:

@@ -12,6 +12,7 @@ from repro.errors import (
     InputValidationError,
     InsufficientRowsError,
 )
+from repro.linalg.covariance import empirical_covariance
 from repro.resilience import FaultInjector
 
 
@@ -66,10 +67,10 @@ def test_validate_relation_clean_input_returns_no_warnings():
 def test_non_finite_samples_raise_input_validation_error():
     bad = np.array([[1.0, np.nan], [0.5, 1.0]])
     with pytest.raises(InputValidationError, match="non-finite"):
-        learn_structure(bad)
+        learn_structure(empirical_covariance(bad), len(bad))
     # The ladder must NOT swallow validation errors.
     with pytest.raises(InputValidationError):
-        learn_structure_resilient(bad)
+        learn_structure_resilient(empirical_covariance(bad), len(bad))
 
 
 # -- fallback ladder ---------------------------------------------------------
@@ -131,7 +132,7 @@ def test_ladder_synthesizes_identity_when_everything_raises(monkeypatch):
 
     monkeypatch.setattr(structure_mod, "learn_structure", always_boom)
     samples = np.random.default_rng(0).normal(size=(50, 4))
-    estimate = learn_structure_resilient(samples)
+    estimate = learn_structure_resilient(empirical_covariance(samples), len(samples))
     assert estimate.degraded is True
     assert estimate.fallback_chain[-1]["stage"] == "identity"
     assert np.array_equal(estimate.precision, np.eye(4))
@@ -141,7 +142,9 @@ def test_ladder_synthesizes_identity_when_everything_raises(monkeypatch):
 
 def test_ladder_with_neighborhood_estimator_configured():
     samples = np.random.default_rng(0).normal(size=(80, 4))
-    estimate = learn_structure_resilient(samples, estimator="neighborhood")
+    estimate = learn_structure_resilient(
+        empirical_covariance(samples), len(samples), estimator="neighborhood"
+    )
     assert estimate.degraded is False
     assert estimate.fallback_chain[0]["estimator"] == "neighborhood"
 
@@ -154,3 +157,51 @@ def test_degraded_result_round_trips_over_wire():
     rebuilt = FDXResult.from_dict(payload)
     assert rebuilt.diagnostics["degraded"] is True
     assert rebuilt.diagnostics["fallback_chain"] == result.diagnostics["fallback_chain"]
+
+
+# -- one covariance, one clock -------------------------------------------------
+
+def test_ladder_estimates_the_covariance_once(monkeypatch):
+    import repro.core.structure as structure_mod
+
+    calls = []
+    real = structure_mod.empirical_covariance_chunked
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure_mod, "empirical_covariance_chunked", counted)
+    result = FDX(glasso_max_iter=1).discover(fd_relation())
+    assert len(result.diagnostics["fallback_chain"]) == 3
+    assert len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def ladder_relation():
+    from repro.datagen.synthetic import SyntheticSpec, generate
+
+    return generate(SyntheticSpec(n_tuples=1000, n_attributes=30, seed=3)).relation
+
+
+def test_ladder_stage_seconds_cover_every_rung(ladder_relation):
+    result = FDX(glasso_max_iter=1).discover(ladder_relation)
+    assert len(result.diagnostics["fallback_chain"]) == 3
+    staged = sum(result.diagnostics["stage_seconds"].values())
+    assert 0.9 * result.total_seconds <= staged <= 1.1 * result.total_seconds
+
+
+def test_ladder_stage_seconds_are_not_below_their_spans(ladder_relation):
+    from repro.obs import Tracer
+
+    tracer = Tracer(enabled=True)
+    result = FDX(glasso_max_iter=1, tracer=tracer).discover(ladder_relation)
+    spans = {"covariance": 0.0, "glasso": 0.0, "factorization": 0.0}
+    for span in tracer.last_root.walk():
+        stage = span.name.removeprefix("structure.")
+        if stage in spans:
+            spans[stage] += span.duration_seconds
+    stage_seconds = result.diagnostics["stage_seconds"]
+    for stage, seconds in spans.items():
+        assert seconds > 0.0
+        assert stage_seconds[stage] >= seconds, (stage, stage_seconds[stage], seconds)

@@ -5,8 +5,11 @@ import pytest
 
 from repro.core.fd import FD
 from repro.core.fdx import FDX
-from repro.core.incremental import IncrementalFDX, _virtual_samples
+from repro.core.incremental import IncrementalFDX
+from repro.datagen.synthetic import SyntheticSpec, generate
 from repro.dataset.relation import Relation
+from repro.linalg.covariance import correlation_from_covariance, shrunk_covariance
+from repro.linalg.model_selection import select_lambda_ebic
 from repro.metrics.evaluation import score_fds
 
 
@@ -19,12 +22,43 @@ def fd_relation(n=600, seed=0):
     return Relation.from_rows(["a", "b", "c"], rows)
 
 
-def test_virtual_samples_reproduce_moment():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(4, 4))
-    cov = A @ A.T + np.eye(4)
-    X = _virtual_samples(cov)
-    assert np.allclose(X.T @ X / X.shape[0], cov, atol=1e-10)
+def test_one_batch_equals_batch_fdx():
+    """One batch below the covariance chunk size gives the batch model bit
+    for bit: both solve from the same second moment, and the streaming
+    result is assembled by the batch result path."""
+    rel = fd_relation()
+    batch = FDX().discover(rel)
+    inc = IncrementalFDX()
+    inc.add_batch(rel)
+    streamed = inc.discover()
+    assert np.array_equal(streamed.precision, batch.precision)
+    assert np.array_equal(streamed.autoregression, batch.autoregression)
+    assert streamed.fds == batch.fds
+    assert set(streamed.diagnostics["stage_seconds"]) == {
+        "covariance", "glasso", "factorization", "fd_generation"
+    }
+
+
+def stream(lam, n_batches=12, rows=250):
+    relation = generate(SyntheticSpec(n_tuples=n_batches * rows, n_attributes=16, seed=1)).relation
+    inc = IncrementalFDX(lam=lam)
+    for k in range(n_batches):
+        inc.add_batch(relation.select_rows(np.arange(k * rows, (k + 1) * rows)))
+    return inc
+
+
+def test_streaming_ebic_scores_with_the_accumulated_sample_count():
+    """eBIC on a stream uses the accumulated pair-sample count, so it
+    picks the penalty batch selection would on the same covariance."""
+    inc = stream("ebic")
+    stats = inc.snapshot()
+    result = inc.discover()
+    S = shrunk_covariance(correlation_from_covariance(stats.covariance()), 0.01)
+    expected = select_lambda_ebic(S, n_samples=stats.n_samples).best_lambda
+    selected = result.diagnostics["solver_health"]["lambda"]["selected"]
+    assert selected == expected == 0.02
+    assert len(result.fds) == 7
+    assert set(result.fds) == set(stream(0.02).discover().fds)
 
 
 def test_incremental_matches_batch_fds():

@@ -107,6 +107,8 @@ def test_fdx_ebic_mode():
 
 def test_unknown_penalty_rule_rejected():
     from repro.core.structure import learn_structure
+    from repro.linalg.covariance import empirical_covariance
 
+    X = np.random.default_rng(0).normal(size=(50, 3))
     with pytest.raises(ValueError, match="penalty rule"):
-        learn_structure(np.random.default_rng(0).normal(size=(50, 3)), lam="magic")
+        learn_structure(empirical_covariance(X), len(X), lam="magic")

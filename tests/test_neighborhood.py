@@ -77,7 +77,8 @@ def test_fdx_with_neighborhood_estimator():
 
 def test_unknown_estimator_rejected():
     from repro.core.structure import learn_structure
+    from repro.linalg.covariance import empirical_covariance
 
+    X = np.random.default_rng(0).normal(size=(50, 3))
     with pytest.raises(ValueError, match="unknown estimator"):
-        learn_structure(np.random.default_rng(0).normal(size=(50, 3)),
-                        estimator="bogus")
+        learn_structure(empirical_covariance(X), len(X), estimator="bogus")

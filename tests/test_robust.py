@@ -81,11 +81,9 @@ def test_structure_learning_with_robust_covariance():
     from repro.core.structure import learn_structure
 
     X = correlated_data(1500)
-    for cov in ("trimmed", "spearman"):
-        est = learn_structure(X, lam=0.05, covariance=cov)
+    for estimate_covariance in (trimmed_covariance, spearman_covariance):
+        est = learn_structure(estimate_covariance(X), len(X), lam=0.05)
         assert abs(est.precision[0, 1]) > 0.05  # real edge survives
-    with pytest.raises(ValueError, match="unknown covariance"):
-        learn_structure(X, covariance="bogus")
 
 
 def test_agreement_pipeline_with_spearman_covariance():
@@ -100,7 +98,7 @@ def test_agreement_pipeline_with_spearman_covariance():
     rows = [(int(a), int(a) % 4) for a in rng.integers(12, size=600)]
     rel = Relation.from_rows(["a", "b"], rows)
     samples = pair_difference_transform(rel, np.random.default_rng(0))
-    est = learn_structure(samples, lam=0.05, covariance="spearman")
+    est = learn_structure(spearman_covariance(samples), len(samples), lam=0.05)
     assert abs(est.precision[0, 1]) > 0.01
 
 
@@ -115,5 +113,5 @@ def test_trimmed_zeroes_binary_tail_signal():
     rows = [(int(a), int(a) % 2) for a in rng.integers(4, size=600)]
     rel = Relation.from_rows(["a", "b"], rows)
     samples = pair_difference_transform(rel, np.random.default_rng(0))
-    est = learn_structure(samples, lam=0.05, covariance="trimmed")
+    est = learn_structure(trimmed_covariance(samples), len(samples), lam=0.05)
     assert abs(est.precision[0, 1]) < 0.05

@@ -12,6 +12,7 @@ import http.client
 import json
 import pathlib
 import re
+import socket
 import statistics
 import string
 import time
@@ -152,6 +153,29 @@ def test_malformed_body_is_400_not_500(handle, path, body, headers):
     assert payload["error"]["message"]
     assert http_5xx_triggers(handle.service) == []
     assert handle.service.last_error() is None
+
+
+@pytest.mark.parametrize("declared", [10_000_000_000_000, 200_000_000])
+def test_oversized_content_length_is_413_not_500_or_a_hang(handle, declared):
+    """A declared length above the body cap is refused before any read
+    (no allocation, no wait for bytes that never come); the connection
+    is closed after the reply, since its body was never read."""
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/discover HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n{}" % declared
+        )
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b" ", 2)[1] == b"413", head
+    assert b"connection: close" in head.lower()
+    assert json.loads(body)["error"]["message"]
+    assert handle.service.last_error() is None
+    assert http_5xx_triggers(handle.service) == []
+    status, _ = raw_request(handle, "GET", "/v1/healthz")
+    assert status == 200
 
 
 @pytest.mark.parametrize("path, hyperparameters", [

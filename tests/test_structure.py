@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.structure import learn_structure
+from repro.linalg.covariance import empirical_covariance
 
 
 def sem_samples(n=5000, seed=0):
@@ -17,15 +18,20 @@ def sem_samples(n=5000, seed=0):
     return np.stack([z0, z1, z2, z3, z4], axis=1)
 
 
+def fit(X, **kwargs):
+    """Structure of a sample matrix: its covariance and row count."""
+    return learn_structure(empirical_covariance(X), len(X), **kwargs)
+
+
 def test_learn_structure_shapes():
-    est = learn_structure(sem_samples(), lam=0.05)
+    est = fit(sem_samples(), lam=0.05)
     assert est.covariance.shape == (5, 5)
     assert est.precision.shape == (5, 5)
     assert est.autoregression.shape == (5, 5)
 
 
 def test_autoregression_recovers_sem_edges():
-    est = learn_structure(sem_samples(), lam=0.02, ordering="natural")
+    est = fit(sem_samples(), lam=0.02, ordering="natural")
     B = est.autoregression  # natural order == true topological order
     assert abs(B[0, 2]) > 0.2
     assert abs(B[1, 2]) > 0.2
@@ -37,28 +43,28 @@ def test_autoregression_recovers_sem_edges():
 
 def test_standardize_makes_lambda_scale_free():
     X = sem_samples()
-    a = learn_structure(X, lam=0.1, standardize=True)
-    b = learn_structure(X * 100.0, lam=0.1, standardize=True)
+    a = fit(X, lam=0.1)
+    b = fit(X * 100.0, lam=0.1)
     assert np.allclose(a.precision, b.precision, atol=1e-6)
 
 
 def test_reconstruction_matches_precision():
-    est = learn_structure(sem_samples(), lam=0.05)
+    est = fit(sem_samples(), lam=0.05)
     assert np.allclose(est.factorization.reconstruct(), est.precision, atol=1e-6)
 
 
 def test_rejects_1d_input():
     with pytest.raises(ValueError):
-        learn_structure(np.zeros(10))
+        learn_structure(np.zeros(10), 10)
 
 
 def test_ordering_option_is_used():
     X = sem_samples()
-    est = learn_structure(X, ordering="natural")
+    est = fit(X, ordering="natural")
     assert est.order.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_glasso_diagnostics_exposed():
-    est = learn_structure(sem_samples(1000), lam=0.1)
+    est = fit(sem_samples(1000), lam=0.1)
     assert est.glasso_iterations >= 1
     assert isinstance(est.glasso_converged, bool)
