@@ -5,8 +5,9 @@
 # a fast benchmark smoke pass reported against the recorded trajectory
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
-# hash-seed / streaming / flight-recorder end-to-end smokes, and a check
-# that the benchmark's span wrappers still reach the pipeline.
+# hash-seed / streaming / flight-recorder end-to-end smokes, a check
+# that the benchmark's span wrappers still reach the pipeline, and a short
+# benchmark window whose every result must pass the benchmark's oracle.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -68,6 +69,18 @@ expected = {
 assert expected <= names, sorted(expected - names)
 print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
       f"{len(recorder.spans)} spans over {len(names)} names")
+PY
+
+echo "== perfbench oracle =="
+# Two seconds of the benchmark's fig6_wide workload (perfbench/run.py):
+# every discovery it times is checked against the library oracle, and the
+# JSON summary on its last line must report no failed result.
+PERFBENCH_LAST="$("$PYTHON" perfbench/run.py --workload fig6_wide --seed 1 --seconds 2 | tail -n 1)"
+"$PYTHON" - "$PERFBENCH_LAST" <<'PY'
+import json, sys
+last = json.loads(sys.argv[1])
+assert last["correct"] is True and last["failed"] == 0, last
+print(f"perfbench oracle OK: {last['attempted']} results checked, none failed")
 PY
 
 echo "== bench smoke (report-only) =="

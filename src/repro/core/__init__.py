@@ -1,11 +1,7 @@
 """FDX core: FD types, pair transform, structure learning, discovery."""
 
 from .fd import FD, fd_edges, merge_by_rhs, minimal_cover
-from .transform import (
-    build_codecs,
-    pair_difference_transform,
-    uniform_pair_transform,
-)
+from .transform import pair_difference_transform, uniform_pair_transform
 from .structure import StructureEstimate, learn_structure
 from .fdx import FDX, FDXResult, generate_fds
 from .incremental import IncrementalFDX
@@ -33,7 +29,6 @@ __all__ = [
     "fd_edges",
     "merge_by_rhs",
     "minimal_cover",
-    "build_codecs",
     "pair_difference_transform",
     "uniform_pair_transform",
     "StructureEstimate",

@@ -40,11 +40,11 @@ from .structure import (
     learn_structure_resilient,
     sample_covariance,
 )
-from .transform import (
-    center_within_blocks,
-    pair_difference_transform,
-    uniform_pair_transform,
-)
+from .transform import pair_difference_transform, uniform_pair_transform
+# Not called here (sample_covariance centers the blocks from the 0/1
+# counts); it stays importable because perfbench/tracing.py patches it
+# by this name.
+from .transform import center_within_blocks  # noqa: F401
 
 #: Magnitudes below this are treated as structural zeros of ``B`` even when
 #: the user-facing sparsity threshold is 0 (paper Table 8's "0" column).
@@ -324,10 +324,10 @@ class FDX:
     transform:
         ``"circular"`` (Algorithm 2, default) or ``"uniform"`` (ablation).
     center_blocks:
-        Center each per-attribute block of the circular transform before
-        covariance estimation (see
-        :func:`repro.core.transform.center_within_blocks`); disabling this
-        is the "no zero-mean correction" ablation.
+        Center each per-attribute block of the circular transform in the
+        covariance estimate (see
+        :func:`repro.linalg.covariance.block_centered_scatter`); disabling
+        this is the "no zero-mean correction" ablation.
     seed:
         Seed for the transform's row shuffle.
     tracer:
@@ -415,9 +415,9 @@ class FDX:
     def transform_relation(self, relation: Relation) -> np.ndarray:
         """Run the configured tuple-pair transform (exposed for ablation).
 
-        With ``center_blocks`` the circular transform's per-attribute
-        blocks are mean-centered, so downstream covariance estimation
-        treats the result as a zero-mean sample.
+        Returns the ``uint8`` agreement sample; ``center_blocks`` acts in
+        the covariance estimate (:func:`repro.core.structure.sample_covariance`),
+        not here.
         """
         from .transform import DEFAULT_NUMERIC_TOLERANCE, DEFAULT_TEXT_JACCARD
 
@@ -434,14 +434,11 @@ class FDX:
         }
         if self.transform == "uniform":
             return uniform_pair_transform(relation, rng, **kwargs)
-        samples = pair_difference_transform(
+        return pair_difference_transform(
             relation, rng,
             max_rows_per_attribute=self.max_rows_per_attribute,
             **kwargs,
         )
-        if self.center_blocks:
-            samples = center_within_blocks(samples, relation.n_attributes)
-        return samples
 
     def discover(self, relation: Relation) -> FDXResult:
         """Discover FDs in ``relation`` (paper Algorithm 1).
@@ -503,10 +500,11 @@ class FDX:
             if cancel_token is not None:
                 cancel_token.raise_if_cancelled()
             t1 = time.perf_counter()
+            # One centered block per sorted attribute (Algorithm 2), or
+            # one global mean for the uniform and uncentered ablations.
+            centered = self.center_blocks and self.transform == "circular"
             S = sample_covariance(
-                samples,
-                assume_centered=self.center_blocks and self.transform == "circular",
-                clock=clock,
+                samples, relation.n_attributes if centered else 1, clock=clock
             )
             estimate = learner(
                 S,

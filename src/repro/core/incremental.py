@@ -4,7 +4,9 @@ The paper's related work (§6) discusses dynamic FD discovery (DynFD);
 FDX's statistical formulation makes the incremental case natural: the
 only data-dependent state is the second-moment matrix of the transformed
 sample, which is additive over batches. :class:`IncrementalFDX`
-accumulates ``X^T X`` and the sample count as row batches arrive and can
+accumulates each batch's block-centered scatter ``XᵀX − MᵀM / r`` (the
+batch estimator's, :func:`repro.linalg.covariance.block_centered_scatter`)
+and the sample count as row batches arrive and can
 produce up-to-date FDs at any point without revisiting old rows: the
 accumulated covariance and its (decayed) sample count go straight to
 structure learning, which takes nothing else.
@@ -33,13 +35,18 @@ import numpy as np
 
 from ..dataset.relation import MISSING, Relation
 from ..dataset.schema import Attribute, AttributeType, Schema
+from ..linalg.covariance import block_centered_scatter
 from ..obs.profile import StageClock
 from ..obs.trace import Tracer
 # generate_fds is not called here (build_result generates the FDs); it
 # stays importable because perfbench/tracing.py patches it by this name.
 from .fdx import FDXResult, build_result, generate_fds  # noqa: F401
 from .structure import learn_structure
-from .transform import center_within_blocks, pair_difference_transform
+from .transform import pair_difference_transform
+# Not called here (block_centered_scatter centers the blocks from the 0/1
+# counts); it stays importable because perfbench/tracing.py patches it
+# by this name.
+from .transform import center_within_blocks  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -302,8 +309,7 @@ class IncrementalFDX:
             return None
         rng = np.random.default_rng(self.seed + self._n_batches)
         samples = pair_difference_transform(batch, rng)
-        samples = center_within_blocks(samples, batch.n_attributes)
-        outer = samples.T @ samples
+        outer = block_centered_scatter(samples, batch.n_attributes)
         if self._sum_outer is None:
             self._sum_outer = outer.copy()
         else:

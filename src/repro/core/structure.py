@@ -23,10 +23,13 @@ import numpy as np
 from ..errors import InputValidationError
 from ..linalg.cholesky import OrderedFactorization, factorize_with_order
 from ..linalg.covariance import (
+    block_centered_scatter,
     correlation_from_covariance,
-    empirical_covariance_chunked,
     shrunk_covariance,
 )
+# Not called here (sample_covariance reads the 0/1 counts); it stays
+# importable because perfbench/tracing.py patches it by this name.
+from ..linalg.covariance import empirical_covariance_chunked  # noqa: F401
 from ..linalg.glasso import graphical_lasso
 from ..linalg.neighborhood import neighborhood_selection
 from ..linalg.ordering import compute_order
@@ -86,20 +89,19 @@ def _finite_or_none(value) -> float | None:
 
 def sample_covariance(
     samples: np.ndarray,
-    assume_centered: bool = False,
+    n_blocks: int = 1,
     clock: StageClock | None = None,
 ) -> np.ndarray:
-    """Covariance ``S`` of the transformed sample ``Dt`` (rows = tuple
-    pairs), timed as part of the clock's ``covariance`` stage.
+    """Covariance ``S`` of the 0/1 transformed sample ``Dt`` (rows =
+    tuple pairs), timed as part of the clock's ``covariance`` stage.
 
-    With ``assume_centered`` the mean is fixed at zero (the second-moment
-    estimator of the block-centered circular transform).
+    Each of ``n_blocks`` equal row blocks is centered at its own mean:
+    ``k`` for the block-centered circular transform, 1 for a sample with
+    one global mean (see :func:`repro.linalg.covariance.block_centered_scatter`).
     """
     clock = clock if clock is not None else StageClock()
     with clock.stage("covariance", "structure.covariance", estimator="empirical"):
-        return empirical_covariance_chunked(
-            np.asarray(samples, dtype=float), assume_centered=assume_centered
-        )
+        return block_centered_scatter(samples, n_blocks) / np.shape(samples)[0]
 
 
 def learn_structure(
@@ -208,7 +210,9 @@ def learn_structure(
                 raise ValueError(f"unknown penalty rule {lam!r}; use a float or 'ebic'")
             from ..linalg.model_selection import select_lambda_ebic
 
-            selection = select_lambda_ebic(S, n_samples=n_samples)
+            selection = select_lambda_ebic(
+                S, n_samples=n_samples, should_abort=should_abort
+            )
             grid = [float(g) for g in selection.scores]
             lam = selection.best_lambda
             lambda_info = {

@@ -17,21 +17,24 @@ token-set Jaccard overlap for text. Missing cells never agree with
 anything (including other missing cells), reflecting the paper's treatment
 of missing values as errors.
 
-Performance note: agreement vectors are ``uint8`` end to end; the
-single ``float64`` cast happens at covariance time
-(``center_within_blocks`` or the structure learner's input
-normalization), which halves the transform's memory traffic versus
-materializing ``float64`` agreements per block.
+The transform works on codes, not cells. The sampled rows of every
+categorical column are gathered from the relation's cached
+:meth:`~repro.dataset.relation.Relation.value_codes` into one integer
+matrix of repr-order ranks, numeric columns into one float matrix, and an
+Algorithm 2 block is a whole-matrix compare of each sorted row with its
+successor; only text keeps a per-row (Jaccard) loop. The output stays
+``uint8``: the covariance reads the 0/1 counts directly
+(:func:`repro.linalg.covariance.block_centered_scatter`), with no
+float64 copy of the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..dataset.relation import Relation, is_missing
+from ..dataset.relation import MISSING, Relation
 from ..dataset.schema import AttributeType
 
 #: Fraction of a numeric column's standard deviation within which two
@@ -42,116 +45,149 @@ DEFAULT_NUMERIC_TOLERANCE = 1e-9
 DEFAULT_TEXT_JACCARD = 0.8
 
 
-@dataclass
-class ColumnCodec:
-    """Pre-encoded column plus its pairwise agreement function.
-
-    ``values`` holds the encoded column (int codes, floats, or token sets);
-    ``agree(a, b)`` returns a binary ``uint8`` array of element-wise
-    agreements. The encoding is computed once so the per-attribute
-    sort/compare loop of Algorithm 2 stays vectorized.
-    """
-
-    values: np.ndarray
-    agree: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sort_key: np.ndarray
-
-
 def _tokenize(value: object) -> frozenset[str]:
     return frozenset(str(value).lower().split())
 
 
-def _column_codec(
-    column: np.ndarray,
-    dtype: AttributeType,
+def _first_values(
+    relation: Relation, name: str, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codes of column ``name`` at ``rows``, the codes present there
+    (ascending, missing excluded), and each present code's value at its
+    first occurrence in ``rows``."""
+    codes = relation.value_codes(name)[rows]
+    present, first = np.unique(codes, return_index=True)
+    if present.size and present[0] < 0:
+        present, first = present[1:], first[1:]
+    return codes, present, relation._column_view(name)[rows[first]]
+
+
+def _jaccard_agree(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
+    """Token-set agreement of two aligned arrays of token sets (or None)."""
+    out = np.zeros(a.shape[0], dtype=np.uint8)
+    for i in range(a.shape[0]):
+        sa, sb = a[i], b[i]
+        if sa is None or sb is None:
+            continue
+        if not sa and not sb:
+            out[i] = 1
+            continue
+        union = len(sa | sb)
+        if union and len(sa & sb) / union >= threshold:
+            out[i] = 1
+    return out
+
+
+@dataclass
+class _Encoded:
+    """The sampled rows of a relation, one matrix per comparator.
+
+    Encoded columns are grouped by type: categorical columns first, as
+    ranks of their values' ``repr`` in ``codes`` (``-1`` for missing),
+    then numeric ones as floats in ``values`` (``NaN`` for missing) with
+    one ``tolerance`` each, then the token sets of each text column.
+    ``columns`` maps that grouped order to schema positions, and
+    ``sort_keys[j]`` orders rows by schema attribute ``j``.
+    """
+
+    columns: np.ndarray
+    codes: np.ndarray
+    has_missing: bool
+    values: np.ndarray
+    tolerance: np.ndarray
+    tokens: list[np.ndarray]
+    text_jaccard: float
+    sort_keys: list[np.ndarray]
+
+    def agree(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        """Write the agreement of sampled rows ``a[t]`` and ``b[t]`` into
+        row ``t`` of ``out``, in grouped column order."""
+        flags = out.view(np.bool_)
+        kc, kn = self.codes.shape[1], self.values.shape[1]
+        if kc:
+            left = self.codes[a]
+            same = np.equal(left, self.codes[b], out=flags[:, :kc])
+            if self.has_missing:  # missing (-1) never agrees, not even with missing
+                same &= left >= 0
+        if kn:
+            with np.errstate(invalid="ignore"):  # NaN and inf - inf compare False
+                np.less_equal(
+                    np.abs(self.values[a] - self.values[b]), self.tolerance,
+                    out=flags[:, kc:kc + kn],
+                )
+        for t, tokens in enumerate(self.tokens, start=kc + kn):
+            out[:, t] = _jaccard_agree(tokens[a], tokens[b], self.text_jaccard)
+
+    def in_schema_order(self, out: np.ndarray) -> np.ndarray:
+        """``out``'s columns moved from grouped to schema order."""
+        if (self.columns[1:] > self.columns[:-1]).all():
+            return out
+        return out[:, np.argsort(self.columns)]
+
+
+def _encode(
+    relation: Relation,
+    rows: np.ndarray,
     numeric_tolerance: float,
     text_jaccard: float,
-) -> ColumnCodec:
-    """Encode one column and pair it with its type's comparator."""
-    if dtype is AttributeType.NUMERIC:
-        vals = np.array(
-            [float(v) if not is_missing(v) else np.nan for v in column],
-            dtype=np.float64,
-        )
-        finite = vals[~np.isnan(vals)]
-        scale = float(np.std(finite)) if finite.size else 0.0
-        tol = numeric_tolerance * scale if scale > 0 else 0.0
+) -> _Encoded:
+    """Encode the relation's ``rows`` (in that order) column by column.
 
-        def agree_num(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            both = ~np.isnan(a) & ~np.isnan(b)
-            out = np.zeros(a.shape[0], dtype=np.uint8)
-            out[both] = np.abs(a[both] - b[both]) <= tol
-            return out
-
-        # Sort key: NaNs last (argsort on float puts NaN last already).
-        return ColumnCodec(values=vals, agree=agree_num, sort_key=vals)
-
-    if dtype is AttributeType.TEXT:
-        tokens = np.empty(len(column), dtype=object)
-        for i, v in enumerate(column):
-            tokens[i] = None if is_missing(v) else _tokenize(v)
-
-        def agree_text(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            out = np.zeros(a.shape[0], dtype=np.uint8)
-            for i in range(a.shape[0]):
-                sa, sb = a[i], b[i]
-                if sa is None or sb is None:
-                    continue
-                if not sa and not sb:
-                    out[i] = 1
-                    continue
-                union = len(sa | sb)
-                if union and len(sa & sb) / union >= text_jaccard:
-                    out[i] = 1
-            return out
-
-        sort_key = np.array(
-            [" ".join(sorted(t)) if t is not None else "\uffff" for t in tokens]
-        )
-        return ColumnCodec(values=tokens, agree=agree_text, sort_key=sort_key)
-
-    domain = sorted({v for v in column if not is_missing(v)}, key=repr)
-    code_of = {v: c for c, v in enumerate(domain)}
-    codes = np.array(
-        [code_of[v] if not is_missing(v) else -1 for v in column], dtype=np.int64
+    A categorical value's rank is the ``repr`` order of the value found
+    at its first occurrence in ``rows`` (equal values such as ``1`` and
+    ``True`` share a code but not a ``repr``). A numeric column's
+    tolerance is ``numeric_tolerance`` times the standard deviation of
+    its finite sampled values, in sampled order.
+    """
+    categorical, numeric, text = [], [], []  # schema positions by type
+    codes, values, tolerance, tokens, sort_keys = [], [], [], [], []
+    # Ranks count the distinct sampled values; int16 keys sort by radix.
+    rank_dtype = np.int16 if rows.size <= np.iinfo(np.int16).max else np.int32
+    for j, attr in enumerate(relation.schema):
+        if attr.dtype is AttributeType.TEXT:
+            sets = np.empty(rows.size, dtype=object)
+            sets[:] = [
+                None if v is MISSING else _tokenize(v)
+                for v in relation._column_view(attr.name)[rows]
+            ]
+            text.append(j)
+            tokens.append(sets)
+            sort_keys.append(np.array(
+                [" ".join(sorted(t)) if t is not None else "\uffff" for t in sets]
+            ))
+            continue
+        sampled, present, firsts = _first_values(relation, attr.name, rows)
+        size = (int(present[-1]) + 1 if present.size else 0) + 1  # last slot: -1
+        if attr.dtype is AttributeType.NUMERIC:
+            lookup = np.full(size, np.nan)
+            lookup[present] = [float(v) for v in firsts]
+            column = lookup[sampled]
+            finite = column[~np.isnan(column)]
+            scale = float(np.std(finite)) if finite.size else 0.0
+            numeric.append(j)
+            values.append(column)
+            tolerance.append(numeric_tolerance * scale if scale > 0 else 0.0)
+        else:
+            keys = [repr(v) for v in firsts]
+            lookup = np.full(size, -1, dtype=rank_dtype)
+            lookup[present[sorted(range(len(keys)), key=keys.__getitem__)]] = (
+                np.arange(len(keys))
+            )
+            column = lookup[sampled]
+            categorical.append(j)
+            codes.append(column)
+        sort_keys.append(column)
+    codes = np.stack(codes, axis=1) if codes else np.empty((rows.size, 0), rank_dtype)
+    return _Encoded(
+        columns=np.array(categorical + numeric + text, dtype=np.intp),
+        codes=codes,
+        has_missing=bool((codes < 0).any()),
+        values=np.stack(values, axis=1) if values else np.empty((rows.size, 0)),
+        tolerance=np.array(tolerance),
+        tokens=tokens,
+        text_jaccard=text_jaccard,
+        sort_keys=sort_keys,
     )
-
-    def agree_cat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ((a == b) & (a >= 0)).astype(np.uint8)
-
-    return ColumnCodec(values=codes, agree=agree_cat, sort_key=codes)
-
-
-def build_codecs(
-    relation: Relation,
-    numeric_tolerance: float = DEFAULT_NUMERIC_TOLERANCE,
-    text_jaccard: float = DEFAULT_TEXT_JACCARD,
-) -> list[ColumnCodec]:
-    """Encode every column of ``relation`` with its type's comparator."""
-    return [
-        _column_codec(
-            relation.column(attr.name), attr.dtype, numeric_tolerance, text_jaccard
-        )
-        for attr in relation.schema
-    ]
-
-
-def _sort_order(codec: ColumnCodec) -> np.ndarray:
-    key = codec.sort_key
-    if key.dtype == object:  # pragma: no cover - defensive; text uses str keys
-        key = np.array([repr(v) for v in key])
-    return np.argsort(key, kind="stable")
-
-
-def _agreement_block(codecs: list[ColumnCodec], i: int) -> np.ndarray:
-    """One Algorithm 2 block: sort by attribute ``i``, shift, compare all."""
-    n = len(codecs[i].sort_key)
-    order = _sort_order(codecs[i])
-    shifted = np.roll(order, -1)
-    block = np.empty((n, len(codecs)), dtype=np.uint8)
-    for l, codec in enumerate(codecs):
-        block[:, l] = codec.agree(codec.values[order], codec.values[shifted])
-    return block
 
 
 def pair_difference_transform(
@@ -166,23 +202,25 @@ def pair_difference_transform(
     Returns a binary ``uint8`` matrix of shape ``(n_pairs, k)`` where
     ``n_pairs = n * k`` (or ``min(n, max_rows_per_attribute) * k`` when the
     per-attribute row cap is set — the sampling speed-up the paper mentions
-    for large relations such as NYPD).
+    for large relations such as NYPD). Block ``i`` (rows ``i*n`` to
+    ``(i+1)*n``) pairs each row of the shuffled relation, stably sorted
+    by attribute ``i``, with its circular successor.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     n, k = relation.shape
     if n < 2:
         raise ValueError("pair transform requires at least two rows")
-    shuffled = relation.shuffled(rng)
+    rows = rng.permutation(n)
     if max_rows_per_attribute is not None and max_rows_per_attribute < n:
-        shuffled = shuffled.head(max_rows_per_attribute)
-        n = shuffled.n_rows
-    codecs = build_codecs(
-        shuffled, numeric_tolerance=numeric_tolerance, text_jaccard=text_jaccard
-    )
-    return np.concatenate(
-        [_agreement_block(codecs, i) for i in range(k)], axis=0
-    )
+        rows = rows[:max(max_rows_per_attribute, 0)]
+    encoded = _encode(relation, rows, numeric_tolerance, text_jaccard)
+    r = rows.size
+    out = np.empty((r * k, k), dtype=np.uint8)
+    for i, key in enumerate(encoded.sort_keys):
+        order = np.argsort(key, kind="stable")
+        encoded.agree(order, np.roll(order, -1), out[i * r:(i + 1) * r])
+    return encoded.in_schema_order(out)
 
 
 def center_within_blocks(samples: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -197,8 +235,10 @@ def center_within_blocks(samples: np.ndarray, n_blocks: int) -> np.ndarray:
     preserving the within-block dependence structure — the concrete form
     of the paper's "fix the mean to zero" robustness argument (§4.3).
 
-    This is also where the transform's ``uint8`` agreements take their
-    single cast to ``float64``.
+    Discovery does not call this: it takes the same centered second
+    moment from the 0/1 counts
+    (:func:`repro.linalg.covariance.block_centered_scatter`). It remains
+    the explicit definition that estimator is tested against.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
@@ -232,13 +272,10 @@ def uniform_pair_transform(
         raise ValueError("pair transform requires at least two rows")
     if n_pairs is None:
         n_pairs = n * k
-    codecs = build_codecs(
-        relation, numeric_tolerance=numeric_tolerance, text_jaccard=text_jaccard
-    )
+    encoded = _encode(relation, np.arange(n), numeric_tolerance, text_jaccard)
     left = rng.integers(n, size=n_pairs)
     offset = 1 + rng.integers(n - 1, size=n_pairs)
     right = (left + offset) % n  # guaranteed distinct tuples
     out = np.empty((n_pairs, k), dtype=np.uint8)
-    for l, codec in enumerate(codecs):
-        out[:, l] = codec.agree(codec.values[left], codec.values[right])
-    return out
+    encoded.agree(left, right, out)
+    return encoded.in_schema_order(out)

@@ -221,26 +221,18 @@ class Relation:
         """Integer codes of attribute ``name`` (cached).
 
         Non-missing values receive codes ``0..|dom|-1`` in first-seen
-        order; every missing cell receives code ``-1``. The returned array
-        is shared — callers must not mutate it.
+        order, and two cells share a code exactly when they are equal as
+        dict keys; every missing cell receives code ``-1``. The returned
+        array is shared — callers must not mutate it.
         """
         cached = self._code_cache.get(name)
         if cached is None:
-            col = self._columns[name]
-            codes = np.empty(self._n_rows, dtype=np.int64)
-            index: dict[Any, int] = {}
-            for i in range(self._n_rows):
-                v = col[i]
-                if v is MISSING:
-                    codes[i] = -1
-                else:
-                    code = index.get(v)
-                    if code is None:
-                        code = len(index)
-                        index[v] = code
-                    codes[i] = code
-            self._code_cache[name] = codes
-            cached = codes
+            index: dict[Any, int] = {MISSING: -1}
+            cached = np.array(
+                [index.setdefault(v, len(index) - 1) for v in self._columns[name].tolist()],
+                dtype=np.int64,
+            )
+            self._code_cache[name] = cached
         return cached
 
     def value_counts(self, name: str) -> dict[Any, int]:

@@ -128,6 +128,45 @@ def empirical_covariance_chunked(
     return accumulated.covariance(assume_centered=assume_centered)
 
 
+def block_centered_scatter(X: np.ndarray, n_blocks: int = 1) -> np.ndarray:
+    """Scatter ``XᵀX − MᵀM / r`` of a 0/1 sample centered within blocks.
+
+    The rows of ``X`` (``N x k``, values 0 or 1, e.g. the ``uint8``
+    output of Algorithm 2) split into ``n_blocks`` consecutive blocks of
+    ``r = N / n_blocks`` rows, and row ``b`` of ``M`` holds block ``b``'s
+    column sums. The result equals ``XcᵀXc`` for ``Xc`` = ``X`` with each
+    block's column means subtracted
+    (:func:`repro.core.transform.center_within_blocks`), so dividing by
+    ``N`` gives the block-centered covariance; ``n_blocks=1`` centers at
+    the global mean.
+
+    Both products are counts, so no centered float copy is made:
+    ``XᵀX`` is summed over :data:`DEFAULT_CHUNK_ROWS`-row chunks in
+    float32, which is exact for 0/1 data while a chunk has fewer than
+    2²⁴ rows, and the chunks fold in float64 (exact below 2⁵³). The only
+    rounding is in ``MᵀM / r`` and the subtraction, so the result does
+    not depend on the order of rows within a block.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D (samples x variables)")
+    n, k = X.shape
+    if n == 0:
+        raise ValueError("need at least one sample")
+    if n_blocks <= 0 or n % n_blocks != 0:
+        raise ValueError(f"cannot split {n} rows into {n_blocks} equal blocks")
+    rows_per_block = n // n_blocks
+    sums = X.reshape(n_blocks, rows_per_block, k).sum(axis=1, dtype=np.int64)
+    sums = sums.astype(np.float64)
+    gram = np.zeros((k, k))
+    buffer = np.empty((min(n, DEFAULT_CHUNK_ROWS), k), dtype=np.float32)
+    for start, stop in chunk_bounds(n):
+        chunk = buffer[:stop - start]
+        np.copyto(chunk, X[start:stop])
+        gram += chunk.T @ chunk
+    return gram - (sums.T @ sums) / rows_per_block
+
+
 def shrunk_covariance(S: np.ndarray, shrinkage: float = 0.1) -> np.ndarray:
     """Convex shrinkage toward the scaled identity:
     ``(1 - a) S + a * (tr(S)/p) I`` (Ledoit-Wolf-style target)."""

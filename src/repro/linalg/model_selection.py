@@ -15,6 +15,7 @@ standard high-dimensional default). ``FDX(lam="ebic")`` uses this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -113,6 +114,7 @@ def select_lambda_ebic(
     n_samples: int,
     grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     gamma: float = 0.5,
+    should_abort: Callable[[], None] | None = None,
 ) -> LambdaSelection:
     """Pick the graphical-lasso penalty minimizing the *refit* eBIC.
 
@@ -121,6 +123,10 @@ def select_lambda_ebic(
     criterion compares supports rather than shrinkage levels. Penalties
     that select an already-seen support reuse its score instead of
     refitting.
+
+    ``should_abort`` is handed to every grid solve (see
+    :func:`repro.linalg.glasso.graphical_lasso`), so the grid beats a
+    watchdog heartbeat and stops on cancellation like the final fit.
     """
     if not grid:
         raise ValueError("penalty grid must be non-empty")
@@ -129,7 +135,7 @@ def select_lambda_ebic(
     fit_records: dict[float, dict] = {}
     seen_supports: dict[bytes, float] = {}
     for lam in grid:
-        result = graphical_lasso(S, lam)
+        result = graphical_lasso(S, lam, should_abort=should_abort)
         support = result.support | np.eye(S.shape[0], dtype=bool)
         key = np.packbits(support).tobytes()
         if key not in seen_supports:

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.transform import center_within_blocks
 from repro.linalg.covariance import (
     DEFAULT_CHUNK_ROWS,
     CovarianceAccumulator,
+    block_centered_scatter,
     chunk_bounds,
     correlation_from_covariance,
     empirical_covariance,
@@ -140,3 +144,70 @@ def test_accumulator_merge_matches_whole_matrix():
     whole = CovarianceAccumulator.from_rows(X)
     assert acc.n_rows == whole.n_rows
     np.testing.assert_allclose(acc.covariance(), whole.covariance(), atol=1e-12)
+
+
+# -- the 0/1 block-centered moment --------------------------------------------
+
+
+def centered_then_gemm(X, n_blocks):
+    """The explicit definition: a float64 block-centered copy of the
+    sample, then the chunked second moment."""
+    return empirical_covariance_chunked(
+        center_within_blocks(X, n_blocks), assume_centered=True
+    )
+
+
+def agreement_sample(rows_per_block, k, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows_per_block * k, k)) < rng.random(k)).astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows_per_block=st.integers(1, 60),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    per_attribute=st.booleans(),
+)
+def test_block_centered_scatter_matches_centering_then_gemm(
+    rows_per_block, k, seed, per_attribute
+):
+    X = agreement_sample(rows_per_block, k, seed)
+    n_blocks = k if per_attribute else 1
+    S = block_centered_scatter(X, n_blocks) / X.shape[0]
+    np.testing.assert_allclose(S, centered_then_gemm(X, n_blocks), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_blocks", ["k", 1])
+def test_block_centered_scatter_matches_over_several_chunks(n_blocks):
+    X = agreement_sample(900, 20, seed=5)  # 18 000 rows: three chunks
+    assert X.shape[0] > 2 * DEFAULT_CHUNK_ROWS
+    n_blocks = X.shape[1] if n_blocks == "k" else n_blocks
+    S = block_centered_scatter(X, n_blocks) / X.shape[0]
+    np.testing.assert_allclose(S, centered_then_gemm(X, n_blocks), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_blocks", ["k", 1])
+def test_block_centered_scatter_ignores_row_order_within_blocks(n_blocks):
+    """The counts are exact integers, so reordering rows inside a block
+    cannot change a bit of the result."""
+    rng = np.random.default_rng(6)
+    X = agreement_sample(900, 15, seed=6)  # 13 500 rows: two chunks
+    n_blocks = X.shape[1] if n_blocks == "k" else n_blocks
+    r = X.shape[0] // n_blocks
+    shuffled = np.concatenate(
+        [X[b * r:(b + 1) * r][rng.permutation(r)] for b in range(n_blocks)]
+    )
+    assert not np.array_equal(shuffled, X)
+    assert np.array_equal(
+        block_centered_scatter(shuffled, n_blocks), block_centered_scatter(X, n_blocks)
+    )
+
+
+def test_block_centered_scatter_rejects_ragged_and_empty_input():
+    with pytest.raises(ValueError):
+        block_centered_scatter(np.zeros((10, 2), dtype=np.uint8), 3)
+    with pytest.raises(ValueError):
+        block_centered_scatter(np.zeros((0, 2), dtype=np.uint8), 2)
+    with pytest.raises(ValueError):
+        block_centered_scatter(np.zeros(4, dtype=np.uint8), 1)

@@ -165,13 +165,13 @@ def test_ladder_estimates_the_covariance_once(monkeypatch):
     import repro.core.structure as structure_mod
 
     calls = []
-    real = structure_mod.empirical_covariance_chunked
+    real = structure_mod.block_centered_scatter
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(structure_mod, "empirical_covariance_chunked", counted)
+    monkeypatch.setattr(structure_mod, "block_centered_scatter", counted)
     result = FDX(glasso_max_iter=1).discover(fd_relation())
     assert len(result.diagnostics["fallback_chain"]) == 3
     assert len(calls) == 1

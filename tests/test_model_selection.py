@@ -112,3 +112,80 @@ def test_unknown_penalty_rule_rejected():
     X = np.random.default_rng(0).normal(size=(50, 3))
     with pytest.raises(ValueError, match="penalty rule"):
         learn_structure(empirical_covariance(X), len(X), lam="magic")
+
+
+# -- the λ grid under the job runner's heartbeat and cancel token --------------
+
+
+class CountingHeartbeat:
+    """Stands in for :class:`repro.resilience.Heartbeat`: counts beats and
+    calls ``on_beat(count)`` after each."""
+
+    def __init__(self, on_beat=None):
+        self.beats = 0
+        self.on_beat = on_beat
+
+    def beat(self):
+        self.beats += 1
+        if self.on_beat is not None:
+            self.on_beat(self.beats)
+
+
+@pytest.fixture(scope="module")
+def ebic_relation():
+    from repro.datagen.synthetic import SyntheticSpec, generate
+
+    return generate(SyntheticSpec(n_tuples=500, n_attributes=40, seed=1000)).relation
+
+
+def _run_with(heartbeat, cancel_token, fn):
+    """``fn()`` in a context that holds the given heartbeat and token."""
+    import contextvars
+
+    from repro.resilience.cancel import set_current_cancel_token
+    from repro.resilience.watchdog import set_current_heartbeat
+
+    def run():
+        set_current_heartbeat(heartbeat)
+        set_current_cancel_token(cancel_token)
+        return fn()
+
+    return contextvars.copy_context().run(run)
+
+
+def test_ebic_grid_beats_the_heartbeat_every_outer_iteration(ebic_relation):
+    from repro import FDX
+
+    heartbeat = CountingHeartbeat()
+    result = _run_with(heartbeat, None, lambda: FDX(lam="ebic").discover(ebic_relation))
+    health = result.diagnostics["solver_health"]
+    grid_iterations = sum(point["iterations"] for point in health["lambda"]["path"])
+    final_iterations = sum(run["iterations"] for run in health["runs"])
+    assert len(health["lambda"]["path"]) == len(DEFAULT_LAMBDA_GRID)
+    assert heartbeat.beats >= grid_iterations + final_iterations
+
+
+def test_cancelled_ebic_stops_inside_the_grid(monkeypatch, ebic_relation):
+    import repro.linalg.model_selection as model_selection
+    from repro import FDX
+    from repro.resilience.cancel import CancelledError, CancelToken
+
+    finished = []
+    real = model_selection.graphical_lasso
+
+    def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
+        finished.append(args[1])
+        return result
+
+    monkeypatch.setattr(model_selection, "graphical_lasso", counted)
+    token = CancelToken()
+
+    def cancel_after_the_first_beat(count):
+        if count == 1:
+            token.set()
+
+    heartbeat = CountingHeartbeat(on_beat=cancel_after_the_first_beat)
+    with pytest.raises(CancelledError):
+        _run_with(heartbeat, token, lambda: FDX(lam="ebic").discover(ebic_relation))
+    assert finished == []  # no grid solve ran to completion

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.relation import MISSING, Relation, concat_rows, is_missing
 from repro.dataset.schema import Schema
@@ -146,3 +148,40 @@ def test_empty_relation():
     r = Relation.from_rows(["a"], [])
     assert r.n_rows == 0
     assert r.missing_fraction() == 0.0
+
+
+#: Cells whose dict-key equality differs from their spelling: 1, 1.0,
+#: True and np.int64(1) are one key; every NumPy float32 NaN object is
+#: its own key (NaN is not equal to itself); float NaN is missing.
+CODE_CELLS = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.sampled_from([1, 1.0, True, np.int64(1), 0, -0.0, False, "1", "a", ""]),
+    st.integers(-3, 3),
+    st.text(alphabet="ab", max_size=2),
+    st.builds(lambda: np.float32("nan")),
+)
+
+
+def same_key(a, b):
+    """Dict-key equality: the same object, or equal hashes and ``==``."""
+    return a is b or (hash(a) == hash(b) and bool(a == b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CODE_CELLS, max_size=30))
+def test_value_codes_are_the_first_seen_dict_partition(cells):
+    relation = Relation.from_rows(["v"], [(cell,) for cell in cells])
+    codes = relation.value_codes("v")
+    stored = relation.column("v")
+    assert codes.dtype == np.int64 and codes.shape == (len(cells),)
+    assert [int(c) == -1 for c in codes] == [v is MISSING for v in stored]
+    highest = -1
+    for code in codes:  # first-seen order: each new code is the next integer
+        assert code <= highest + 1
+        highest = max(highest, int(code))
+    for i in range(len(cells)):
+        for j in range(len(cells)):
+            if stored[i] is not MISSING and stored[j] is not MISSING:
+                assert (codes[i] == codes[j]) == same_key(stored[i], stored[j])
+    assert relation.value_codes("v") is codes  # built once per relation

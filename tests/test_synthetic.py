@@ -49,6 +49,38 @@ def test_fd_groups_hold_exactly_without_noise():
         assert err == 0.0
 
 
+@pytest.mark.parametrize("n_tuples,n_attributes,seed", [
+    (1000, 68, 1), (1000, 68, 2), (500, 40, 1000), (500, 40, 1001),
+])
+def test_planted_fds_hold_exactly_at_the_benchmark_shapes(n_tuples, n_attributes, seed):
+    """An oracle for ``true_fds`` that does not involve FDX: TANE's exact
+    g3 error of every planted FD is 0 on a noise-free instance of the
+    benchmark's Figure-6 shapes."""
+    ds = generate(SyntheticSpec(n_tuples=n_tuples, n_attributes=n_attributes,
+                                noise_rate=0.0, seed=seed))
+    assert ds.true_fds
+    for fd in ds.true_fds:
+        part = Partition.for_attributes(ds.relation, fd.lhs)
+        assert fd_error_g3(part, column_codes(ds.relation, fd.rhs)) == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_planted_fd_error_is_bounded_by_the_noisy_rows(seed):
+    """Deleting the rows where noise flipped a cell of an FD's attributes
+    leaves the planted FD exact, so its g3 error is at most their share."""
+    ds = generate(SyntheticSpec(n_tuples=1000, n_attributes=68, noise_rate=0.05, seed=seed))
+    flipped: dict[str, set[int]] = {}
+    for row, name in ds.noise_report.cells:
+        flipped.setdefault(name, set()).add(row)
+    errors = []
+    for fd in ds.true_fds:
+        touched = set().union(*(flipped.get(a, set()) for a in (*fd.lhs, fd.rhs)))
+        part = Partition.for_attributes(ds.relation, fd.lhs)
+        errors.append(fd_error_g3(part, column_codes(ds.relation, fd.rhs)))
+        assert errors[-1] <= len(touched) / ds.relation.n_rows
+    assert max(errors) > 0.0
+
+
 def test_correlation_groups_do_not_hold_exactly():
     ds = generate(SyntheticSpec(n_tuples=2000, n_attributes=12,
                                 domain_low=8, domain_high=16,

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.transform import (
-    build_codecs,
+    DEFAULT_NUMERIC_TOLERANCE,
+    DEFAULT_TEXT_JACCARD,
+    _encode,
     pair_difference_transform,
     uniform_pair_transform,
 )
@@ -98,12 +100,12 @@ def test_text_jaccard_agreement():
     rel = Relation(schema, {
         "t": ["main street 12", "Main Street 12", "elm avenue", MISSING],
     })
-    codecs = build_codecs(rel)
-    vals = codecs[0].values
-    agree = codecs[0].agree(
-        np.array([vals[0], vals[0], vals[3]], dtype=object),
-        np.array([vals[1], vals[2], vals[3]], dtype=object),
+    encoded = _encode(
+        rel, np.arange(4), DEFAULT_NUMERIC_TOLERANCE, DEFAULT_TEXT_JACCARD
     )
+    agree = np.empty((3, 1), dtype=np.uint8)
+    encoded.agree(np.array([0, 0, 3]), np.array([1, 2, 3]), agree)
+    agree = agree[:, 0]
     assert agree[0] == 1.0  # case-insensitive token match
     assert agree[1] == 0.0  # different tokens
     assert agree[2] == 0.0  # missing never agrees
