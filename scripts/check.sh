@@ -6,8 +6,9 @@
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
 # hash-seed / streaming / flight-recorder end-to-end smokes, a check
-# that the benchmark's span wrappers still reach the pipeline, and a short
-# benchmark window whose every result must pass the benchmark's oracle.
+# that the benchmark's span wrappers still reach the pipeline, and short
+# benchmark windows (fixed λ and eBIC) whose every result must pass the
+# benchmark's oracle.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -72,16 +73,19 @@ print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
 PY
 
 echo "== perfbench oracle =="
-# Two seconds of the benchmark's fig6_wide workload (perfbench/run.py):
-# every discovery it times is checked against the library oracle, and the
-# JSON summary on its last line must report no failed result.
-PERFBENCH_LAST="$("$PYTHON" perfbench/run.py --workload fig6_wide --seed 1 --seconds 2 | tail -n 1)"
-"$PYTHON" - "$PERFBENCH_LAST" <<'PY'
+# Two seconds of the benchmark's fig6_wide (fixed λ) and ebic_solver
+# (eBIC λ grid) workloads (perfbench/run.py): every discovery they time
+# is checked against the library oracle, and the JSON summary on each
+# run's last line must report no failed result.
+for workload in fig6_wide ebic_solver; do
+    PERFBENCH_LAST="$("$PYTHON" perfbench/run.py --workload "$workload" --seed 1 --seconds 2 | tail -n 1)"
+    "$PYTHON" - "$workload" "$PERFBENCH_LAST" <<'PY'
 import json, sys
-last = json.loads(sys.argv[1])
+workload, last = sys.argv[1], json.loads(sys.argv[2])
 assert last["correct"] is True and last["failed"] == 0, last
-print(f"perfbench oracle OK: {last['attempted']} results checked, none failed")
+print(f"perfbench oracle OK ({workload}): {last['attempted']} results checked, none failed")
 PY
+done
 
 echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only

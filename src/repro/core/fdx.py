@@ -281,10 +281,6 @@ def build_result(
         diagnostics["input_warnings"] = input_warnings
     if clock.memory.enabled:
         diagnostics["stage_bytes"] = dict(clock.memory.stage_bytes)
-    if estimate.glasso_trace is not None:
-        diagnostics["glasso_objective_trace"] = [
-            step["objective"] for step in estimate.glasso_trace
-        ]
     return FDXResult(
         fds=fds,
         attribute_order=[names[i] for i in estimate.order],
@@ -357,8 +353,9 @@ class FDX:
         :class:`repro.errors.DegenerateColumnError` instead of recording
         them as ``diagnostics["input_warnings"]``.
     glasso_max_iter:
-        Outer-iteration cap for the graphical lasso. Lowering it bounds
-        worst-case solve time (the service's latency lever); with
+        Outer-iteration cap for every graphical-lasso solve, each point
+        of the eBIC grid included. Lowering it bounds worst-case solve
+        time (the service's latency lever); with
         ``resilient`` the ladder absorbs the resulting non-convergence.
     evidence:
         Record the per-FD evidence ledger (:mod:`repro.obs.explain`) in

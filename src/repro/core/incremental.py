@@ -101,7 +101,9 @@ def discover_from_stats(
     ``warm_start`` (a previous solve's precision matrix) threads through
     to the graphical lasso's ``Theta0`` initialization — on a refresh
     whose statistics moved only slightly, the solver converges in one or
-    two outer sweeps instead of re-deriving the structure cold.
+    two outer sweeps instead of re-deriving the structure cold. An eBIC
+    solve ignores it (its λ grid solves cold), and
+    ``diagnostics["warm_start"]`` says which start the solve used.
     """
     clock = StageClock(tracer)
     started = time.perf_counter()
@@ -123,7 +125,7 @@ def discover_from_stats(
         diagnostics={
             "incremental": True,
             "n_batches": stats.n_batches,
-            "warm_start": warm_start is not None,
+            "warm_start": estimate.solver_runs[0]["warm_start"],
         },
     )
 

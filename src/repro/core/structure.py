@@ -31,6 +31,7 @@ from ..linalg.covariance import (
 # importable because perfbench/tracing.py patches it by this name.
 from ..linalg.covariance import empirical_covariance_chunked  # noqa: F401
 from ..linalg.glasso import graphical_lasso
+from ..linalg.model_selection import _finite_or_none
 from ..linalg.neighborhood import neighborhood_selection
 from ..linalg.ordering import compute_order
 from ..linalg.robust import condition_number_estimate, psd_projection
@@ -51,9 +52,6 @@ class StructureEstimate:
     glasso_converged: bool
     #: Final graphical-lasso objective (None for the neighborhood estimator).
     glasso_objective: float | None = None
-    #: Per-iteration ``{iteration, objective, duality_gap, change}`` dicts,
-    #: recorded only when tracing is enabled (the callback costs O(p^3)).
-    glasso_trace: list | None = None
     #: True when the fallback ladder had to leave the configured solver.
     degraded: bool = False
     #: One record per ladder rung attempted: ``{"stage", "ok", ...}``.
@@ -77,14 +75,6 @@ class StructureEstimate:
     def autoregression(self) -> np.ndarray:
         """``B = I - U`` in the permuted coordinate system."""
         return self.factorization.autoregression
-
-
-def _finite_or_none(value) -> float | None:
-    """Plain finite float or ``None`` — keeps telemetry JSON-exact."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if np.isfinite(value) else None
 
 
 def sample_covariance(
@@ -150,16 +140,16 @@ def learn_structure(
         ``covariance`` / ``glasso`` / ``factorization`` stages into its
         ``seconds`` (and memory tracker) and emits the
         ``structure.covariance``, ``structure.glasso`` and
-        ``structure.factorization`` spans. With tracing enabled the
-        graphical lasso also records a per-iteration objective /
-        duality-gap trace. Defaults to a clock on the global tracer.
+        ``structure.factorization`` spans; the ``glasso`` stage holds
+        every graphical-lasso solve, the eBIC grid included. Defaults to
+        a clock on the global tracer.
     warm_start:
         Optional previous precision matrix handed to the graphical lasso
         as its ``Theta0`` initialization (streaming refreshes re-solve
         nearly identical covariances; starting at the previous solution
         cuts the outer sweeps to one or two). Only the ``"glasso"``
-        estimator uses it; the estimate is unchanged within solver
-        tolerance.
+        estimator at a fixed ``lam`` uses it (the eBIC grid solves cold);
+        the estimate is unchanged within solver tolerance.
 
     The graphical lasso always runs on the correlation matrix of ``S``,
     making ``lam`` comparable across data sets whose agreement variances
@@ -181,10 +171,10 @@ def learn_structure(
     if heartbeat is not None:
         heartbeat.beat()
     if cancel_token is not None and heartbeat is not None:
-        # The glasso calls should_abort once per outer iteration (cheap,
-        # unlike callback): piggyback the watchdog heartbeat on it so a
-        # converging solve keeps proving liveness while a hung one goes
-        # silent and gets cancelled.
+        # The glasso calls should_abort once per outer iteration:
+        # piggyback the watchdog heartbeat on it so a converging solve
+        # keeps proving liveness while a hung one goes silent and gets
+        # cancelled.
         def should_abort() -> None:
             heartbeat.beat()
             cancel_token.raise_if_cancelled()
@@ -194,6 +184,12 @@ def learn_structure(
         should_abort = heartbeat.beat
     else:
         should_abort = None
+    if isinstance(lam, str) and lam != "ebic":
+        raise ValueError(f"unknown penalty rule {lam!r}; use a float or 'ebic'")
+    if isinstance(lam, str) or estimator != "glasso":
+        # Only a fixed-λ graphical lasso starts from Theta0: the eBIC
+        # grid solves cold. Every warm/cold report reads this decision.
+        warm_start = None
     with clock.stage("covariance", "structure.covariance",
                      shrinkage=shrinkage, standardize=True):
         S = correlation_from_covariance(S)
@@ -205,66 +201,52 @@ def learn_structure(
         if not np.isfinite(condition_number):
             # Keep the record JSON-exact while never hiding singularity.
             condition_number = float(np.finfo(float).max)
-        if isinstance(lam, str):
-            if lam != "ebic":
-                raise ValueError(f"unknown penalty rule {lam!r}; use a float or 'ebic'")
+    glasso_objective: float | None = None
+    with clock.stage("glasso", "structure.glasso", estimator=estimator,
+                     warm_start=warm_start is not None) as span:
+        fit = None
+        if lam == "ebic":
             from ..linalg.model_selection import select_lambda_ebic
 
             selection = select_lambda_ebic(
-                S, n_samples=n_samples, should_abort=should_abort
+                S, n_samples=n_samples, max_iter=max_iter,
+                should_abort=should_abort,
             )
-            grid = [float(g) for g in selection.scores]
+            fit = selection.best_fit
             lam = selection.best_lambda
+            grid = [float(g) for g in selection.scores]
             lambda_info = {
                 "mode": "ebic",
                 "selected": float(lam),
                 "grid": grid,
                 "grid_index": grid.index(float(lam)),
                 "path": [
-                    {
-                        "lam": float(g),
-                        "score": _finite_or_none(selection.scores[g]),
-                        **selection.fits.get(g, {}),
-                    }
+                    {"lam": float(g), **selection.fits[g]}
                     for g in selection.scores
                 ],
             }
         else:
             lambda_info = {"mode": "fixed", "selected": float(lam)}
-    glasso_objective: float | None = None
-    glasso_trace: list | None = None
-    with clock.stage("glasso", "structure.glasso", estimator=estimator,
-                     lam=float(lam), warm_start=warm_start is not None) as span:
+        span.set_attribute("lam", float(lam))
         if estimator == "glasso":
-            callback = None
-            if clock.tracer.enabled:
-                glasso_trace = []
-                callback = glasso_trace.append
-            result = graphical_lasso(
-                S, lam, max_iter=max_iter, callback=callback,
-                should_abort=should_abort, Theta0=warm_start,
-            )
-            precision = result.precision
-            iterations, converged = result.n_iter, result.converged
+            if fit is None:
+                fit = graphical_lasso(
+                    S, lam, max_iter=max_iter,
+                    should_abort=should_abort, Theta0=warm_start,
+                )
+            precision = fit.precision
+            iterations, converged = fit.n_iter, fit.converged
             if faults.fires("glasso.nonconverge"):
                 converged = False  # chaos harness: simulated non-convergence
-            glasso_objective = result.objective
-            duality_gap = result.dual_gap
-            active_set_size = int(result.support.sum()) // 2
+            glasso_objective = fit.objective
+            duality_gap = fit.dual_gap
+            active_set_size = int(fit.support.sum()) // 2
             span.set_attributes(
                 iterations=iterations,
                 converged=converged,
-                objective=result.objective,
-                duality_gap=result.dual_gap,
+                objective=fit.objective,
+                duality_gap=fit.dual_gap,
             )
-            if glasso_trace is not None:
-                span.set_attribute(
-                    "objective_trace", [step["objective"] for step in glasso_trace]
-                )
-                span.set_attribute(
-                    "duality_gap_trace",
-                    [step["duality_gap"] for step in glasso_trace],
-                )
         elif estimator == "neighborhood":
             precision = neighborhood_selection(S, lam).precision
             iterations, converged, duality_gap = 1, True, None
@@ -284,7 +266,6 @@ def learn_structure(
         glasso_iterations=iterations,
         glasso_converged=converged,
         glasso_objective=glasso_objective,
-        glasso_trace=glasso_trace,
         lambda_info=lambda_info,
         solver_runs=[{
             "stage": "configured",
@@ -296,7 +277,7 @@ def learn_structure(
             "duality_gap": _finite_or_none(duality_gap),
             "active_set_size": active_set_size,
             "condition_number": float(condition_number),
-            "warm_start": warm_start is not None and estimator == "glasso",
+            "warm_start": warm_start is not None,
         }],
     )
 

@@ -34,8 +34,9 @@ def ldl_decompose(A: np.ndarray, jitter: float = 1e-10) -> tuple[np.ndarray, np.
         if d_j < jitter:
             d_j = jitter
         d[j] = d_j
-        for i in range(j + 1, p):
-            L[i, j] = (A[i, j] - np.sum(L[i, :j] * L[j, :j] * d[:j])) / d_j
+        L[j + 1:, j] = (
+            A[j + 1:, j] - np.sum(L[j + 1:, :j] * L[j, :j] * d[:j], axis=1)
+        ) / d_j
     return L, d
 
 

@@ -116,7 +116,6 @@ def graphical_lasso(
     max_iter: int = 100,
     tol: float = 1e-4,
     inner_max_iter: int = 200,
-    callback: Callable[[dict], None] | None = None,
     should_abort: Callable[[], None] | None = None,
     Theta0: np.ndarray | None = None,
 ) -> GraphicalLassoResult:
@@ -133,12 +132,6 @@ def graphical_lasso(
         Convergence threshold on the mean absolute change of the working
         covariance's off-diagonal, relative to the mean absolute
         off-diagonal of ``S``.
-    callback:
-        Optional per-outer-iteration observer, called with a dict
-        ``{"iteration", "objective", "duality_gap", "change"}``. Each
-        call pays an extra ``O(p^3)`` precision recovery + ``slogdet``,
-        so leave it ``None`` on the hot path (the tracer enables it only
-        when tracing is on).
     should_abort:
         Optional cooperative-cancellation hook called at the start of
         every outer iteration; raise from it (e.g.
@@ -218,14 +211,6 @@ def graphical_lasso(
             W[rest, j] = w12
             W[j, rest] = w12
         change = np.mean(np.abs(W[off_mask] - W_old[off_mask]))
-        if callback is not None:
-            iterate = _precision_from_working(W, betas)
-            callback({
-                "iteration": n_iter,
-                "objective": glasso_objective(S, iterate, lam),
-                "duality_gap": glasso_dual_gap(S, iterate, lam),
-                "change": float(change),
-            })
         if change < threshold:
             converged = True
             break

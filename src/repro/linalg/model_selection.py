@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .glasso import graphical_lasso
+from .glasso import GraphicalLassoResult, graphical_lasso
 
 #: Default penalty grid searched by :func:`select_lambda_ebic`.
 DEFAULT_LAMBDA_GRID = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
@@ -29,13 +29,16 @@ DEFAULT_LAMBDA_GRID = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
 class LambdaSelection:
     """Outcome of the eBIC search.
 
-    ``fits`` carries one plain-value record per grid point — iterations,
-    convergence, objective, duality gap, active-set size — the raw
-    material of the λ-path solver telemetry
+    ``best_fit`` is the graphical-lasso solve at ``best_lambda``: the
+    model itself, so the selected penalty is never solved twice.
+    ``fits`` carries one plain-value record per grid point — score,
+    active-set size, iterations, convergence, objective, duality gap —
+    the raw material of the λ-path solver telemetry
     (``diagnostics["solver_health"]``).
     """
 
     best_lambda: float
+    best_fit: GraphicalLassoResult
     scores: dict[float, float]
     n_edges: dict[float, int]
     fits: dict[float, dict] = field(default_factory=dict)
@@ -104,7 +107,10 @@ def constrained_mle(
         return np.linalg.pinv(W)
 
 
-def _finite_or_none(value: float) -> float | None:
+def _finite_or_none(value) -> float | None:
+    """Plain finite float or ``None`` — keeps telemetry JSON-exact."""
+    if value is None:
+        return None
     value = float(value)
     return value if np.isfinite(value) else None
 
@@ -114,6 +120,7 @@ def select_lambda_ebic(
     n_samples: int,
     grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     gamma: float = 0.5,
+    max_iter: int = 100,
     should_abort: Callable[[], None] | None = None,
 ) -> LambdaSelection:
     """Pick the graphical-lasso penalty minimizing the *refit* eBIC.
@@ -122,28 +129,34 @@ def select_lambda_ebic(
     refit the support-constrained MLE, and score that refit — so the
     criterion compares supports rather than shrinkage levels. Penalties
     that select an already-seen support reuse its score instead of
-    refitting.
+    refitting. The selected penalty's solve comes back as ``best_fit``.
 
-    ``should_abort`` is handed to every grid solve (see
-    :func:`repro.linalg.glasso.graphical_lasso`), so the grid beats a
-    watchdog heartbeat and stops on cancellation like the final fit.
+    ``max_iter`` and ``should_abort`` are handed to every grid solve
+    (see :func:`repro.linalg.glasso.graphical_lasso`): the outer-iteration
+    cap bounds each of them, and the grid beats a watchdog heartbeat and
+    stops on cancellation.
     """
     if not grid:
         raise ValueError("penalty grid must be non-empty")
+    solves: dict[float, GraphicalLassoResult] = {}
     scores: dict[float, float] = {}
     edges: dict[float, int] = {}
     fit_records: dict[float, dict] = {}
     seen_supports: dict[bytes, float] = {}
     for lam in grid:
-        result = graphical_lasso(S, lam, should_abort=should_abort)
+        result = graphical_lasso(
+            S, lam, max_iter=max_iter, should_abort=should_abort
+        )
         support = result.support | np.eye(S.shape[0], dtype=bool)
         key = np.packbits(support).tobytes()
         if key not in seen_supports:
             refit = constrained_mle(S, support)
             seen_supports[key] = ebic_score(S, refit, n_samples, gamma=gamma)
+        solves[lam] = result
         scores[lam] = seen_supports[key]
         edges[lam] = int(result.support.sum()) // 2
         fit_records[lam] = {
+            "score": _finite_or_none(scores[lam]),
             "n_edges": edges[lam],
             "iterations": int(result.n_iter),
             "converged": bool(result.converged),
@@ -152,5 +165,6 @@ def select_lambda_ebic(
         }
     best = min(scores, key=lambda lam: (scores[lam], lam))
     return LambdaSelection(
-        best_lambda=best, scores=scores, n_edges=edges, fits=fit_records
+        best_lambda=best, best_fit=solves[best], scores=scores, n_edges=edges,
+        fits=fit_records,
     )

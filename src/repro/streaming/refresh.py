@@ -14,7 +14,8 @@ Two knobs keep refreshes cheap:
   one (clients can always ``force`` past the debounce).
 * Warm starts — the previous refresh's precision matrix is threaded into
   the solver as its ``Theta0`` initialization, so a refresh whose
-  statistics barely moved converges in one or two outer sweeps.
+  statistics barely moved converges in one or two outer sweeps. Only a
+  fixed λ solves warm: an eBIC session's λ grid solves cold.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from ..core.fdx import FDXResult
 from ..core.incremental import StreamStats, discover_from_stats
 from ..obs.registry import MetricsRegistry
-from ..obs.trace import Tracer
+from ..obs.trace import NULL_SPAN, Tracer
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class RefreshOutcome:
     #: True when the solve actually ran; False when the cached result was
     #: served because the debounce said the statistics hadn't moved enough.
     solved: bool
-    #: True when the solve was warm-started from a previous precision.
+    #: True when the solve was warm-started from a previous precision
+    #: (never under eBIC, whose λ grid solves cold).
     warm: bool
     seconds: float
     #: Snapshot row watermark this result reflects (for debounce cursors).
@@ -102,15 +104,13 @@ def refresh_solve(
     ``event_hook`` receives one ``session.refresh`` event dict per solve
     (the service points it at the flight recorder); it must not raise.
     """
-    warm = warm_start is not None
-    span = contextlib.nullcontext() if tracer is None else tracer.span(
+    span = contextlib.nullcontext(NULL_SPAN) if tracer is None else tracer.span(
         "session.refresh",
-        warm_start=warm,
         n_rows_seen=stats.n_rows_seen,
         n_batches=stats.n_batches,
     )
     t0 = time.perf_counter()
-    with span:
+    with span as opened:
         result = discover_from_stats(
             stats,
             lam=lam,
@@ -120,6 +120,9 @@ def refresh_solve(
             warm_start=warm_start,
             tracer=tracer,
         )
+        # The solve decides whether it started warm (eBIC never does).
+        warm = result.diagnostics["warm_start"]
+        opened.set_attribute("warm_start", warm)
     seconds = time.perf_counter() - t0
     if metrics is not None:
         metrics.counter(

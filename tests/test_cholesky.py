@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.linalg.cholesky import (
     factorize_with_order,
@@ -108,3 +110,55 @@ def test_autoregression_in_original_order_permutes_correctly():
 def test_ldl_rejects_nonsquare():
     with pytest.raises(ValueError):
         ldl_decompose(np.zeros((2, 3)))
+
+
+# -- bit identity with the per-element LDL loop --------------------------------
+
+
+def reference_ldl_decompose(A, jitter=1e-10):
+    """Frozen copy of the per-element loop that the row-operation
+    ``ldl_decompose`` replaced; it lives here only, as the definition the
+    rewrite must reproduce bit for bit."""
+    A = np.asarray(A, dtype=float)
+    p = A.shape[0]
+    L = np.eye(p)
+    d = np.zeros(p)
+    for j in range(p):
+        d_j = A[j, j] - np.sum(L[j, :j] ** 2 * d[:j])
+        if d_j < jitter:
+            d_j = jitter
+        d[j] = d_j
+        for i in range(j + 1, p):
+            L[i, j] = (A[i, j] - np.sum(L[i, :j] * L[j, :j] * d[:j])) / d_j
+    return L, d
+
+
+def _ldl_input(kind, p, seed):
+    """A ``p x p`` symmetric matrix of the given kind: SPD, rank-deficient
+    PSD, indefinite, or zero (the last three exercise the jitter floor)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(p, p))
+    if kind == "spd":
+        return X @ X.T + np.eye(p)
+    if kind == "rank_deficient":
+        Y = X[:, : p // 2]
+        return Y @ Y.T
+    if kind == "indefinite":
+        return X + X.T
+    return np.zeros((p, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "rank_deficient", "indefinite", "zero"]),
+    p=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ldl_matches_the_per_element_loop_bit_for_bit(kind, p, seed):
+    A = _ldl_input(kind, p, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L, d = ldl_decompose(A)
+        L_ref, d_ref = reference_ldl_decompose(A)
+    assert np.array_equal(L, L_ref, equal_nan=True)
+    assert np.array_equal(d, d_ref, equal_nan=True)
+

@@ -160,9 +160,9 @@ def test_ebic_grid_beats_the_heartbeat_every_outer_iteration(ebic_relation):
     result = _run_with(heartbeat, None, lambda: FDX(lam="ebic").discover(ebic_relation))
     health = result.diagnostics["solver_health"]
     grid_iterations = sum(point["iterations"] for point in health["lambda"]["path"])
-    final_iterations = sum(run["iterations"] for run in health["runs"])
     assert len(health["lambda"]["path"]) == len(DEFAULT_LAMBDA_GRID)
-    assert heartbeat.beats >= grid_iterations + final_iterations
+    # The selected λ's grid fit is the model: the grid is every solve.
+    assert heartbeat.beats >= grid_iterations
 
 
 def test_cancelled_ebic_stops_inside_the_grid(monkeypatch, ebic_relation):
@@ -189,3 +189,69 @@ def test_cancelled_ebic_stops_inside_the_grid(monkeypatch, ebic_relation):
     with pytest.raises(CancelledError):
         _run_with(heartbeat, token, lambda: FDX(lam="ebic").discover(ebic_relation))
     assert finished == []  # no grid solve ran to completion
+
+
+# -- one graphical-lasso solve per λ -------------------------------------------
+
+
+def test_ebic_solves_each_grid_point_once(monkeypatch, ebic_relation):
+    """The selected λ's grid fit is the model; nothing solves it again."""
+    import repro.core.structure as structure
+    import repro.linalg.model_selection as model_selection
+    from repro import FDX
+
+    solved = []
+    real = graphical_lasso
+
+    def counted(S, lam, *args, **kwargs):
+        solved.append(lam)
+        return real(S, lam, *args, **kwargs)
+
+    monkeypatch.setattr(model_selection, "graphical_lasso", counted)
+    monkeypatch.setattr(structure, "graphical_lasso", counted)
+    result = FDX(lam="ebic").discover(ebic_relation)
+    assert not result.diagnostics["degraded"]
+    assert solved == list(DEFAULT_LAMBDA_GRID)
+
+
+def test_ebic_model_is_the_selected_grid_fit(ebic_relation):
+    """The eBIC precision is, bit for bit, a fresh solve at the selected λ
+    on the standardised, shrunk S the grid searched."""
+    from repro import FDX
+
+    result = FDX(lam="ebic").discover(ebic_relation)
+    selected = result.diagnostics["solver_health"]["lambda"]["selected"]
+    fresh = graphical_lasso(result.covariance, selected)
+    assert np.array_equal(result.precision, fresh.precision)
+
+
+def test_glasso_max_iter_bounds_every_ebic_grid_solve(ebic_relation):
+    from repro import FDX
+
+    result = FDX(lam="ebic", glasso_max_iter=2, resilient=False).discover(
+        ebic_relation
+    )
+    path = result.diagnostics["solver_health"]["lambda"]["path"]
+    assert len(path) == len(DEFAULT_LAMBDA_GRID)
+    assert all(point["iterations"] <= 2 for point in path)
+    assert result.diagnostics["glasso_iterations"] <= 2
+
+
+def test_ebic_selection_runs_in_the_glasso_stage(monkeypatch, ebic_relation):
+    """λ selection is graphical-lasso work: it runs inside the
+    ``structure.glasso`` span, not ``structure.covariance``."""
+    import repro.linalg.model_selection as model_selection
+    from repro import FDX
+    from repro.obs import Tracer
+    from repro.obs.trace import current_span
+
+    open_spans = []
+    real = model_selection.select_lambda_ebic
+
+    def observed(*args, **kwargs):
+        open_spans.append(current_span().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_selection, "select_lambda_ebic", observed)
+    FDX(lam="ebic", tracer=Tracer(enabled=True)).discover(ebic_relation)
+    assert open_spans == ["structure.glasso"]

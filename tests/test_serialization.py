@@ -147,16 +147,15 @@ def test_fdxresult_roundtrip_from_real_discovery():
 
 
 #: Every diagnostics key a fully-instrumented FDX.discover produces
-#: (tracing enabled adds glasso_objective_trace; track_memory adds
-#: stage_bytes). A new diagnostics key must be added here, which makes
-#: the completeness test below fail until it provably round-trips.
+#: (track_memory adds stage_bytes). A new diagnostics key must be added
+#: here, which makes the completeness test below fail until it provably
+#: round-trips.
 FULL_DIAGNOSTICS_KEYS = (
     "glasso_iterations",
     "glasso_converged",
     "final_objective",
     "stage_seconds",
     "stage_bytes",
-    "glasso_objective_trace",
     "degraded",
     "fallback_chain",
     # Per-FD evidence ledger and per-run solver telemetry (explain layer).

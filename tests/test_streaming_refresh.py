@@ -75,6 +75,32 @@ def test_refresh_solve_records_metrics():
     assert registry.snapshot()["histograms"]["session_refresh_seconds"]["count"] == 2
 
 
+def test_ebic_refresh_reports_cold_everywhere():
+    """An eBIC solve's λ grid solves cold, so a previous precision handed
+    to it is not a warm start, and no report may say it was."""
+    from repro.obs import Tracer
+    from repro.obs.sinks import InMemorySink
+
+    stats = accumulated_stats()
+    previous = refresh_solve(stats, lam="ebic").result.precision
+    registry, sink, events = MetricsRegistry(), InMemorySink(), []
+    outcome = refresh_solve(
+        stats, lam="ebic", warm_start=previous,
+        tracer=Tracer(enabled=True, sinks=[sink]),
+        metrics=registry, event_hook=events.append,
+    )
+    assert outcome.warm is False
+    assert outcome.result.diagnostics["warm_start"] is False
+    runs = outcome.result.diagnostics["solver_health"]["runs"]
+    assert [run["warm_start"] for run in runs] == [False]
+    spans = {event["name"]: event["attributes"] for event in sink.events()}
+    assert spans["session.refresh"]["warm_start"] is False
+    assert spans["structure.glasso"]["warm_start"] is False
+    assert [event["warm"] for event in events] == [False]
+    counters = registry.snapshot()["counters"]
+    assert counters == {"session_refreshes_total{mode=cold}": 1}
+
+
 # -- Session.refresh (debounce + warm-start wiring) ---------------------------
 
 def test_session_debounce_serves_cached_result():
