@@ -89,6 +89,8 @@ done
 
 echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only
+# The discovery cases also record each pipeline stage (<case>.<stage>).
+"$PYTHON" -m repro bench --suite scalability --smoke --no-record --report-only
 "$PYTHON" -m repro bench --suite catalog --smoke --no-record --report-only
 
 echo "== hash-seed smoke =="
@@ -138,6 +140,20 @@ assert evidence["suppressed_total"] >= len(evidence["near_misses"])
 print(f"explain smoke OK: {len(records)} FDs with evidence, "
       f"first margin {record['margin']:.4g}, "
       f"{evidence['suppressed_total']} near-miss edges")
+PY
+
+echo "== stage coverage smoke =="
+# One clock times the whole discovery: the stages printed by --trace
+# must cover at least 95% of the root fdx.discover span.
+"$PYTHON" -m repro discover "$SMOKE_DIR/ttt.csv" --trace > "$SMOKE_DIR/trace.txt"
+"$PYTHON" - "$SMOKE_DIR/trace.txt" <<'PY'
+import re, sys
+out = open(sys.argv[1]).read()
+match = re.search(r"stage sum [\d.]+s of total [\d.]+s \(([\d.]+)%\)", out)
+assert match, f"no stage-sum line in:\n{out}"
+coverage = float(match.group(1))
+assert coverage >= 95.0, f"stages cover {coverage}% of the root span:\n{out}"
+print(f"stage coverage smoke OK: stages cover {coverage}% of fdx.discover")
 PY
 
 echo "== catalog sweep smoke =="

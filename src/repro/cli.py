@@ -148,8 +148,10 @@ def _print_trace_summary(tracer, result) -> None:
     for line in render_tree(root):
         print(f"  {line}")
     stage_seconds = result.diagnostics.get("stage_seconds", {})
-    stage_sum = sum(stage_seconds.values())
-    total = result.total_seconds
+    stage_sum = result.total_seconds
+    # The root span wraps every stage: the share of it left unstaged is
+    # the clock's coverage gap.
+    total = root.duration_seconds
     coverage = 100.0 * stage_sum / total if total > 0 else 100.0
     print(f"  stages: " + "  ".join(
         f"{name}={seconds * 1000:.2f}ms" for name, seconds in stage_seconds.items()

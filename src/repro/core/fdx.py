@@ -18,7 +18,6 @@ Usage::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,21 +111,39 @@ def validate_relation(relation: Relation, strict: bool = False) -> list[str]:
 
 @dataclass
 class FDXResult:
-    """Everything FDX produces for one input relation."""
+    """Everything FDX produces for one input relation.
+
+    Its durations are views of ``diagnostics["stage_seconds"]``, the
+    run's one clock, so they cannot disagree with it.
+    """
 
     fds: list[FD]
     attribute_order: list[str]
     autoregression: np.ndarray  # B in schema (original) attribute order
     precision: np.ndarray
     covariance: np.ndarray
-    transform_seconds: float
-    model_seconds: float
     n_pair_samples: int
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
-        return self.transform_seconds + self.model_seconds
+        """Wall seconds of the discovery: the sum of its stages."""
+        return sum(self.diagnostics.get("stage_seconds", {}).values())
+
+    @property
+    def transform_seconds(self) -> float:
+        """Seconds of the tuple-pair transform stage."""
+        return self.diagnostics.get("stage_seconds", {}).get("transform", 0.0)
+
+    @property
+    def model_seconds(self) -> float:
+        """Seconds of structure learning and FD generation, without the
+        transform: paper Figure 6's model runtime."""
+        stages = self.diagnostics.get("stage_seconds", {})
+        return sum(
+            stages.get(key, 0.0)
+            for key in ("covariance", "glasso", "factorization", "fd_generation")
+        )
 
     def fd_for(self, attribute: str) -> FD | None:
         """The discovered FD determining ``attribute``, if any."""
@@ -146,8 +163,6 @@ class FDXResult:
             "fds": [fd.to_dict() for fd in self.fds],
             "attribute_order": list(self.attribute_order),
             "autoregression": self.autoregression.tolist(),
-            "transform_seconds": self.transform_seconds,
-            "model_seconds": self.model_seconds,
             "n_pair_samples": self.n_pair_samples,
             "diagnostics": dict(self.diagnostics),
         }
@@ -179,8 +194,6 @@ class FDXResult:
             autoregression=autoregression,
             precision=np.asarray(precision, dtype=float) if precision is not None else np.eye(p),
             covariance=np.asarray(covariance, dtype=float) if covariance is not None else np.eye(p),
-            transform_seconds=float(payload.get("transform_seconds", 0.0)),
-            model_seconds=float(payload.get("model_seconds", 0.0)),
             n_pair_samples=int(payload.get("n_pair_samples", 0)),
             diagnostics=dict(payload.get("diagnostics", {})),
         )
@@ -229,34 +242,31 @@ def build_result(
     names: list[str],
     clock: StageClock,
     *,
-    started: float,
     sparsity: float,
     n_pair_samples: int,
     n_rows: int,
     evidence: bool = True,
-    transform_seconds: float = 0.0,
     input_warnings: list[str] | None = None,
     diagnostics: dict | None = None,
 ) -> FDXResult:
     """FD generation on a fitted structure and the result around it: the
     one result path of batch and streaming discovery.
 
-    ``model_seconds`` runs from ``started`` to the end of the clock's
-    ``fd_generation`` stage; the evidence ledger is built after it (it
-    reads the fitted model, it is not part of the pipeline's budget).
-    ``diagnostics`` holds the caller's own leading keys.
+    FD generation and the evidence ledger are the clock's last stages
+    (``fd_generation``, ``evidence``); ``stage_seconds`` is read after
+    them, so it holds every stage of the run. ``diagnostics`` holds the
+    caller's own leading keys.
     """
     with clock.stage("fd_generation", "fdx.generate_fds", sparsity=sparsity):
         fds = generate_fds(
             estimate.autoregression, estimate.order, names, sparsity=sparsity
         )
-    model_seconds = time.perf_counter() - started
+        autoregression = estimate.factorization.autoregression_in_original_order()
     diagnostics = {
         **(diagnostics or {}),
         "glasso_iterations": estimate.glasso_iterations,
         "glasso_converged": estimate.glasso_converged,
         "final_objective": estimate.glasso_objective,
-        "stage_seconds": dict(clock.seconds),
         "degraded": estimate.degraded,
         "solver_health": {
             "runs": list(estimate.solver_runs),
@@ -264,34 +274,40 @@ def build_result(
         },
     }
     if evidence:
-        diagnostics["evidence"] = build_evidence(
-            autoregression=estimate.autoregression,
-            order=estimate.order,
-            names=names,
-            precision=estimate.precision,
-            sparsity=sparsity,
-            n_pair_samples=n_pair_samples,
-            n_rows=n_rows,
-            lambda_info=estimate.lambda_info,
-            fallback_chain=estimate.fallback_chain,
-        )
+        with clock.stage("evidence", "fdx.evidence"):
+            diagnostics["evidence"] = build_evidence(
+                autoregression=estimate.autoregression,
+                order=estimate.order,
+                names=names,
+                precision=estimate.precision,
+                sparsity=sparsity,
+                n_pair_samples=n_pair_samples,
+                n_rows=n_rows,
+                lambda_info=estimate.lambda_info,
+                fallback_chain=estimate.fallback_chain,
+            )
     if estimate.fallback_chain:
         diagnostics["fallback_chain"] = estimate.fallback_chain
     if input_warnings:
         diagnostics["input_warnings"] = input_warnings
-    if clock.memory.enabled:
-        diagnostics["stage_bytes"] = dict(clock.memory.stage_bytes)
     return FDXResult(
         fds=fds,
         attribute_order=[names[i] for i in estimate.order],
-        autoregression=estimate.factorization.autoregression_in_original_order(),
+        autoregression=autoregression,
         precision=estimate.precision,
         covariance=estimate.covariance,
-        transform_seconds=transform_seconds,
-        model_seconds=model_seconds,
         n_pair_samples=n_pair_samples,
-        diagnostics=diagnostics,
+        diagnostics=_read_clock(clock, diagnostics),
     )
+
+
+def _read_clock(clock: StageClock, diagnostics: dict) -> dict:
+    """``diagnostics`` with the finished run's ``stage_seconds`` (and
+    ``stage_bytes`` when memory is tracked) added."""
+    diagnostics["stage_seconds"] = dict(clock.seconds)
+    if clock.memory.enabled:
+        diagnostics["stage_bytes"] = dict(clock.memory.stage_bytes)
+    return diagnostics
 
 
 class FDX:
@@ -445,64 +461,33 @@ class FDX:
         every other solver-side failure is absorbed by the fallback
         ladder when ``resilient`` is on, so a valid input always yields
         an :class:`FDXResult` (possibly a degraded one — check
-        ``diagnostics["degraded"]``).
+        ``diagnostics["degraded"]``). One :class:`StageClock` times the
+        whole call, validation and the evidence ledger included.
         """
-        input_warnings = validate_relation(relation, strict=self.strict)
-        cancel_token = current_cancel_token()
-        names = relation.schema.names
-        if relation.n_attributes < 2:
-            # Nothing to learn; the explainability keys of a full run, so
-            # explain surfaces answer (with empty ledgers).
-            p = relation.n_attributes
-            diagnostics = {
-                "degraded": False,
-                "solver_health": {"runs": [], "lambda": None},
-            }
-            if self.evidence:
-                diagnostics["evidence"] = build_evidence(
-                    autoregression=np.zeros((p, p)),
-                    order=np.arange(p),
-                    names=names,
-                    precision=np.eye(p),
-                    sparsity=self.sparsity,
-                    n_pair_samples=0,
-                    n_rows=relation.n_rows,
-                    lambda_info=None,
-                    fallback_chain=[],
-                )
-            if input_warnings:
-                diagnostics["input_warnings"] = input_warnings
-            return FDXResult(
-                fds=[],
-                attribute_order=names,
-                autoregression=np.zeros((p, p)),
-                precision=np.eye(p),
-                covariance=np.eye(p),
-                transform_seconds=0.0,
-                model_seconds=0.0,
-                n_pair_samples=0,
-                diagnostics=diagnostics,
-            )
         tracer = self.tracer if self.tracer is not None else get_tracer()
         clock = StageClock(tracer, MemoryTracker(enabled=self.track_memory))
-        learner = learn_structure_resilient if self.resilient else learn_structure
-        t0 = time.perf_counter()
+        cancel_token = current_cancel_token()
+        names = relation.schema.names
         with tracer.span(
             "fdx.discover",
             n_rows=relation.n_rows,
             n_attributes=relation.n_attributes,
         ) as root, clock.memory:
+            with clock.stage("validate", "fdx.validate"):
+                input_warnings = validate_relation(relation, strict=self.strict)
+            if relation.n_attributes < 2:
+                return self._no_model_result(relation, clock, input_warnings)
             with clock.stage("transform", "fdx.transform", kind=self.transform):
                 samples = self.transform_relation(relation)
             if cancel_token is not None:
                 cancel_token.raise_if_cancelled()
-            t1 = time.perf_counter()
             # One centered block per sorted attribute (Algorithm 2), or
             # one global mean for the uniform and uncentered ablations.
             centered = self.center_blocks and self.transform == "circular"
             S = sample_covariance(
                 samples, relation.n_attributes if centered else 1, clock=clock
             )
+            learner = learn_structure_resilient if self.resilient else learn_structure
             estimate = learner(
                 S,
                 samples.shape[0],
@@ -517,12 +502,10 @@ class FDX:
                 cancel_token.raise_if_cancelled()
             result = build_result(
                 estimate, names, clock,
-                started=t1,
                 sparsity=self.sparsity,
                 n_pair_samples=int(samples.shape[0]),
                 n_rows=relation.n_rows,
                 evidence=self.evidence,
-                transform_seconds=t1 - t0,
                 input_warnings=input_warnings,
             )
             root.set_attributes(
@@ -531,3 +514,40 @@ class FDX:
                 glasso_iterations=estimate.glasso_iterations,
             )
         return result
+
+    def _no_model_result(
+        self, relation: Relation, clock: StageClock, input_warnings: list[str]
+    ) -> FDXResult:
+        """Fewer than two attributes: nothing to learn. The explainability
+        keys of a full run, so explain surfaces answer (with empty
+        ledgers)."""
+        p = relation.n_attributes
+        names = relation.schema.names
+        diagnostics = {
+            "degraded": False,
+            "solver_health": {"runs": [], "lambda": None},
+        }
+        if self.evidence:
+            with clock.stage("evidence", "fdx.evidence"):
+                diagnostics["evidence"] = build_evidence(
+                    autoregression=np.zeros((p, p)),
+                    order=np.arange(p),
+                    names=names,
+                    precision=np.eye(p),
+                    sparsity=self.sparsity,
+                    n_pair_samples=0,
+                    n_rows=relation.n_rows,
+                    lambda_info=None,
+                    fallback_chain=[],
+                )
+        if input_warnings:
+            diagnostics["input_warnings"] = input_warnings
+        return FDXResult(
+            fds=[],
+            attribute_order=names,
+            autoregression=np.zeros((p, p)),
+            precision=np.eye(p),
+            covariance=np.eye(p),
+            n_pair_samples=0,
+            diagnostics=_read_clock(clock, diagnostics),
+        )

@@ -28,7 +28,6 @@ never wait on a refresh.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +105,6 @@ def discover_from_stats(
     ``diagnostics["warm_start"]`` says which start the solve used.
     """
     clock = StageClock(tracer)
-    started = time.perf_counter()
     estimate = learn_structure(
         stats.covariance(),
         stats.n_samples,
@@ -118,7 +116,6 @@ def discover_from_stats(
     )
     return build_result(
         estimate, stats.schema.names, clock,
-        started=started,
         sparsity=sparsity,
         n_pair_samples=int(stats.n_samples),
         n_rows=stats.n_rows_seen,

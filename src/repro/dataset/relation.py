@@ -55,10 +55,12 @@ class Relation:
         self._n_rows = n
         self._columns: dict[str, np.ndarray] = {}
         for name in schema.names:
-            col = np.empty(n, dtype=object)
-            for i, value in enumerate(columns[name]):
-                col[i] = MISSING if is_missing(value) else value
-            self._columns[name] = col
+            # fromiter fills an object array cell by cell, so tuple cells
+            # stay whole (a list assignment would unpack them).
+            self._columns[name] = np.fromiter(
+                (MISSING if is_missing(v) else v for v in columns[name]),
+                dtype=object, count=n,
+            )
         self._code_cache: dict[str, np.ndarray] = {}
 
     # -- constructors ------------------------------------------------------

@@ -7,9 +7,10 @@ by recording every run into an append-only ledger and gating on a
 robust statistical comparison against the recorded trajectory:
 
 * **Suites** (:data:`SUITES`) are curated, dependency-free callables:
-  ``micro`` times the pipeline hot paths (pair transform, graphical
-  lasso, UDU factorization), ``scalability`` times end-to-end
-  ``FDX.discover`` across attribute counts, ``service`` boots an
+  ``micro`` times the flight recorder's per-event cost, ``scalability``
+  times end-to-end ``FDX.discover`` across attribute counts (each
+  discovery case also records every pipeline stage from its result's
+  ``stage_seconds``), ``service`` boots an
   in-process server to time the cold vs. cache-hit round trip,
   ``resilience`` prices the robustness layer (disabled fault-injection
   hooks, retry wrapper overhead, a fallback-ladder-engaged discovery),
@@ -197,55 +198,6 @@ class BenchCase:
 
     name: str
     make: Callable[[bool], Callable[[], object]]
-
-
-def _case_pair_transform(smoke: bool) -> Callable[[], object]:
-    import numpy as np
-
-    from ..core.transform import pair_difference_transform
-    from ..datagen.synthetic import SyntheticSpec, generate
-
-    n, p = (500, 10) if smoke else (2000, 20)
-    ds = generate(SyntheticSpec(n_tuples=n, n_attributes=p, seed=0))
-
-    def run():
-        return pair_difference_transform(ds.relation, np.random.default_rng(0))
-
-    return run
-
-
-def _case_glasso(smoke: bool) -> Callable[[], object]:
-    import numpy as np
-
-    from ..linalg.covariance import empirical_covariance
-    from ..linalg.glasso import graphical_lasso
-
-    n, p = (500, 15) if smoke else (2000, 30)
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(n, p))
-    X[:, 1] = 0.9 * X[:, 0] + 0.2 * X[:, 1]
-    S = empirical_covariance(X)
-
-    def run():
-        return graphical_lasso(S, 0.05)
-
-    return run
-
-
-def _case_udu(smoke: bool) -> Callable[[], object]:
-    import numpy as np
-
-    from ..linalg.cholesky import udu_decompose
-
-    p = 40 if smoke else 80
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(p, p))
-    spd = A @ A.T + p * np.eye(p)
-
-    def run():
-        return udu_decompose(spd)
-
-    return run
 
 
 def _discover_case(n: int, p: int) -> Callable[[bool], Callable[[], object]]:
@@ -582,9 +534,6 @@ def _case_catalog_sampling(smoke: bool) -> Callable[[], object]:
 
 SUITES: dict[str, tuple[BenchCase, ...]] = {
     "micro": (
-        BenchCase("pair_transform", _case_pair_transform),
-        BenchCase("graphical_lasso", _case_glasso),
-        BenchCase("udu_factorization", _case_udu),
         BenchCase("flight_record", _case_flight_record),
     ),
     "scalability": (
@@ -621,8 +570,13 @@ def run_suite(suite: str, repeat: int = 3, smoke: bool = False) -> dict:
     iterations; the recorded timing is the median. A case whose
     callable returns a float is trusted to have measured its own
     critical section (the service case times only the cache-hit round
-    trip, not server boot).
+    trip, not server boot). A case whose callable returns an
+    :class:`~repro.core.fdx.FDXResult` also records the median of each
+    of its ``stage_seconds`` keys as ``<case>.<stage>``, so the
+    regression gate applies per pipeline stage.
     """
+    from ..core.fdx import FDXResult
+
     cases = SUITES.get(suite)
     if cases is None:
         raise ValueError(f"unknown suite {suite!r}; options: {sorted(SUITES)}")
@@ -631,15 +585,24 @@ def run_suite(suite: str, repeat: int = 3, smoke: bool = False) -> dict:
         fn = case.make(smoke)
         fn()  # warmup (imports, numpy caches)
         timings = []
+        stages: dict[str, list[float]] = {}
         for _ in range(max(1, repeat)):
             t0 = time.perf_counter()
             value = fn()
             elapsed = time.perf_counter() - t0
             timings.append(value if isinstance(value, float) else elapsed)
+            if isinstance(value, FDXResult):
+                for stage, seconds in value.diagnostics["stage_seconds"].items():
+                    stages.setdefault(stage, []).append(seconds)
         results[case.name] = {
             "seconds": _median(timings),
             "repeats": len(timings),
         }
+        for stage, seconds in stages.items():
+            results[f"{case.name}.{stage}"] = {
+                "seconds": _median(seconds),
+                "repeats": len(seconds),
+            }
     return {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "git_sha": git_sha(),

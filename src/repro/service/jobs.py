@@ -442,12 +442,22 @@ class JobManager:
                 "jobs_interrupted_total",
                 help="Jobs found in flight at crash time during journal replay",
             ).inc(self._n_interrupted)
+        if self._n_quarantined:
+            self._count_quarantined(self._n_quarantined)
         # Compact: one record per job, payloads shed for terminal jobs.
         # Runs before any new appends, so it cannot race live writers;
         # an unwritable disk here must not block boot.
         self.journal_writer.write(lambda: self.journal.compact(result))
         with self._lock:
             self._prune_locked()
+
+    def _count_quarantined(self, n: int) -> None:
+        """Quarantines at boot and at run time feed one counter."""
+        if self.registry is not None:
+            self.registry.counter(
+                "jobs_quarantined_total",
+                help="Jobs quarantined after repeated abnormal worker deaths",
+            ).inc(n)
 
     def _journal_event(self, event: str, job: Job, **fields: Any) -> None:
         if self.journal is None:
@@ -604,11 +614,7 @@ class JobManager:
                 "quarantined", job, error=error, attempts=job.attempt,
                 crash=True,
             )
-            if self.registry is not None:
-                self.registry.counter(
-                    "jobs_quarantined_total",
-                    help="Jobs quarantined after repeated abnormal worker deaths",
-                ).inc()
+            self._count_quarantined(1)
         else:
             job._fail(exc)
             self._journal_event(

@@ -328,9 +328,11 @@ class DiscoveryService:
         with self._error_lock:
             return dict(self._last_error) if self._last_error else None
 
-    def _record_discovery(self, result: dict, seconds: float) -> None:
-        """Pipeline telemetry shared by one-shot jobs and sessions."""
+    def _record_discovery(self, result: dict) -> None:
+        """Pipeline telemetry shared by one-shot jobs and sessions; the
+        discovery's duration is its result's sum of ``stage_seconds``."""
         diagnostics = result.get("diagnostics", {}) if isinstance(result, dict) else {}
+        seconds = sum(diagnostics.get("stage_seconds", {}).values())
         self.registry.counter(
             "fdx_discoveries_total", help="Completed FDX discovery runs"
         ).inc()
@@ -467,7 +469,6 @@ class DiscoveryService:
         """The job body for one discovery (shared by submit and recovery)."""
 
         def run() -> dict:
-            started = time.perf_counter()
             with self.tracer.span(
                 "service.job", kind="discover", fingerprint=fingerprint,
                 executor=self.jobs.executor_mode,
@@ -482,7 +483,7 @@ class DiscoveryService:
                 else:
                     result = _discover_job_task(relation, hyperparameters, self.tracer)
             self.cache.put(fingerprint, result)
-            self._record_discovery(result, time.perf_counter() - started)
+            self._record_discovery(result)
             return result
 
         return run
@@ -632,7 +633,6 @@ class DiscoveryService:
         return 200, envelope(info)
 
     def session_fds(self, session_id: str, force: bool = False) -> tuple[int, dict]:
-        started = time.perf_counter()
         with self.tracer.span(
             "service.session_discover", session_id=session_id, force=force
         ):
@@ -640,7 +640,7 @@ class DiscoveryService:
         self.registry.counter("session_discoveries").inc()
         payload = outcome.result.to_dict()
         if outcome.solved:
-            self._record_discovery(payload, time.perf_counter() - started)
+            self._record_discovery(payload)
         else:
             self.registry.counter("session_refreshes_debounced").inc()
         return 200, envelope(

@@ -21,7 +21,6 @@ Two knobs keep refreshes cheap:
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +72,7 @@ class RefreshOutcome:
     #: True when the solve was warm-started from a previous precision
     #: (never under eBIC, whose λ grid solves cold).
     warm: bool
+    #: The solve's duration: its result's sum of ``stage_seconds``.
     seconds: float
     #: Snapshot row watermark this result reflects (for debounce cursors).
     n_rows_seen: int
@@ -109,7 +109,6 @@ def refresh_solve(
         n_rows_seen=stats.n_rows_seen,
         n_batches=stats.n_batches,
     )
-    t0 = time.perf_counter()
     with span as opened:
         result = discover_from_stats(
             stats,
@@ -123,7 +122,7 @@ def refresh_solve(
         # The solve decides whether it started warm (eBIC never does).
         warm = result.diagnostics["warm_start"]
         opened.set_attribute("warm_start", warm)
-    seconds = time.perf_counter() - t0
+    seconds = result.total_seconds
     if metrics is not None:
         metrics.counter(
             "session_refreshes_total",

@@ -1,5 +1,8 @@
 """Degraded-mode pipeline: input guards and the solver fallback ladder."""
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -185,10 +188,16 @@ def ladder_relation():
 
 
 def test_ladder_stage_seconds_cover_every_rung(ladder_relation):
-    result = FDX(glasso_max_iter=1).discover(ladder_relation)
-    assert len(result.diagnostics["fallback_chain"]) == 3
-    staged = sum(result.diagnostics["stage_seconds"].values())
-    assert 0.9 * result.total_seconds <= staged <= 1.1 * result.total_seconds
+    """Every rung is staged: the stages account for at least 95% of the
+    wall time measured around the discovery (median of 3)."""
+    shares = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = FDX(glasso_max_iter=1).discover(ladder_relation)
+        wall = time.perf_counter() - t0
+        assert len(result.diagnostics["fallback_chain"]) == 3
+        shares.append(sum(result.diagnostics["stage_seconds"].values()) / wall)
+    assert statistics.median(shares) >= 0.95
 
 
 def test_ladder_stage_seconds_are_not_below_their_spans(ladder_relation):

@@ -35,7 +35,7 @@ def test_one_batch_equals_batch_fdx():
     assert np.array_equal(streamed.autoregression, batch.autoregression)
     assert streamed.fds == batch.fds
     assert set(streamed.diagnostics["stage_seconds"]) == {
-        "covariance", "glasso", "factorization", "fd_generation"
+        "covariance", "glasso", "factorization", "fd_generation", "evidence"
     }
 
 

@@ -92,14 +92,26 @@ def test_env_fingerprint_and_rss():
 
 def test_run_suite_smoke_records_all_cases():
     record = bench.run_suite("micro", repeat=1, smoke=True)
-    assert set(record["results"]) == {
-        "pair_transform", "graphical_lasso", "udu_factorization", "flight_record"
-    }
+    assert set(record["results"]) == {"flight_record"}
     assert all(r["seconds"] > 0 for r in record["results"].values())
     assert record["smoke"] is True
     assert record["peak_rss_bytes"] > 0
     with pytest.raises(ValueError):
         bench.run_suite("nope")
+
+
+def test_discovery_cases_record_every_stage():
+    """A case returning an FDXResult records each stage_seconds key as
+    ``<case>.<stage>``, so the regression gate applies per stage."""
+    record = bench.run_suite("scalability", repeat=1, smoke=True)
+    stages = (
+        "validate", "transform", "covariance", "glasso", "factorization",
+        "fd_generation", "evidence",
+    )
+    for case in ("discover_p05", "discover_p10", "discover_p20"):
+        assert case in record["results"]
+        for stage in stages:
+            assert record["results"][f"{case}.{stage}"]["seconds"] >= 0
 
 
 def test_cli_bench_writes_ledger_and_gates(tmp_path):

@@ -185,3 +185,39 @@ def test_value_codes_are_the_first_seen_dict_partition(cells):
             if stored[i] is not MISSING and stored[j] is not MISSING:
                 assert (codes[i] == codes[j]) == same_key(stored[i], stored[j])
     assert relation.value_codes("v") is codes  # built once per relation
+
+
+def per_cell_column(values, n):
+    """Frozen copy of the per-cell loop ``Relation.__init__`` used to
+    build each column, kept here as the property's reference."""
+    col = np.empty(n, dtype=object)
+    for i, value in enumerate(values):
+        col[i] = MISSING if is_missing(value) else value
+    return col
+
+
+BUILD_CELLS = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.builds(lambda: np.float64("nan")),
+    st.builds(lambda: np.float32("nan")),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.text(alphabet="ab", max_size=2),
+    st.tuples(st.integers(0, 2), st.text(alphabet="ab", max_size=1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(BUILD_CELLS, BUILD_CELLS), max_size=30))
+def test_columns_match_the_per_cell_build(rows):
+    """Each column is the per-cell build, cell for cell: the same objects
+    (tuples kept whole), with None and float NaN stored as MISSING and a
+    float32 NaN (not a Python float) kept as it is."""
+    relation = Relation.from_rows(["x", "y"], rows)
+    for j, name in enumerate(["x", "y"]):
+        values = [row[j] for row in rows]
+        expected = per_cell_column(values, len(rows))
+        built = relation.column(name)
+        assert built.dtype == object and built.shape == expected.shape
+        assert all(got is want for got, want in zip(built, expected))

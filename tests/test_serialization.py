@@ -34,7 +34,10 @@ def fds(draw):
 
 
 #: Pipeline stages reported in ``diagnostics["stage_seconds"]``.
-STAGES = ("transform", "covariance", "glasso", "factorization", "fd_generation")
+STAGES = (
+    "validate", "transform", "covariance", "glasso", "factorization",
+    "fd_generation", "evidence",
+)
 
 
 @st.composite
@@ -62,8 +65,6 @@ def fdx_results(draw):
         autoregression=np.asarray(auto),
         precision=np.eye(p),
         covariance=np.eye(p),
-        transform_seconds=draw(st.floats(0, 10, allow_nan=False)),
-        model_seconds=draw(st.floats(0, 10, allow_nan=False)),
         n_pair_samples=draw(st.integers(0, 10**6)),
         diagnostics={
             "n_batches": draw(st.integers(0, 5)),
@@ -123,13 +124,8 @@ def test_real_discovery_reports_stage_breakdown():
     rel = Relation.from_rows(["zip", "city", "state"], rows)
     result = FDX().discover(rel)
     stage_seconds = result.diagnostics["stage_seconds"]
-    assert set(stage_seconds) == {
-        "transform", "covariance", "glasso", "factorization", "fd_generation"
-    }
+    assert set(stage_seconds) == set(STAGES)
     assert all(seconds >= 0 for seconds in stage_seconds.values())
-    # The per-stage breakdown accounts for the reported total.
-    assert sum(stage_seconds.values()) <= result.total_seconds * 1.10
-    assert sum(stage_seconds.values()) >= result.total_seconds * 0.90
     assert isinstance(result.diagnostics["final_objective"], float)
     rebuilt = FDXResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert rebuilt.diagnostics == result.diagnostics
@@ -214,8 +210,7 @@ def test_fdxresult_from_dict_rejects_malformed():
 def test_fdxresult_empty_relation_roundtrip():
     result = FDXResult(
         fds=[], attribute_order=[], autoregression=np.zeros((0, 0)),
-        precision=np.zeros((0, 0)), covariance=np.zeros((0, 0)),
-        transform_seconds=0.0, model_seconds=0.0, n_pair_samples=0,
+        precision=np.zeros((0, 0)), covariance=np.zeros((0, 0)), n_pair_samples=0,
     )
     rebuilt = FDXResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert rebuilt.to_dict() == result.to_dict()

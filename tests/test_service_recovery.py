@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.dataset.relation import Relation
+from repro.obs.registry import MetricsRegistry
 from repro.resilience import FaultInjector
 from repro.service.jobs import (
     DONE,
@@ -21,6 +22,7 @@ from repro.service.jobs import (
     JobManager,
     QuarantinedError,
 )
+from repro.service.journal import JobJournal
 from repro.service.protocol import relation_to_wire
 from repro.service.server import DiscoveryService
 
@@ -179,6 +181,24 @@ def test_crash_loop_is_broken_at_boot(tmp_path):
         release.set()
         m2.shutdown(wait=False)
         m1.shutdown(wait=False)
+
+
+def test_boot_quarantine_is_counted_like_a_runtime_one(tmp_path):
+    # A job in flight at crash time on its last attempt is quarantined at
+    # boot: the stats and jobs_quarantined_total both count it.
+    journal = JobJournal(str(tmp_path))
+    journal.append("submitted", "job-1", kind="discover", attempt=2, key="poison")
+    journal.append("started", "job-1")
+    journal.close()
+
+    registry = MetricsRegistry()
+    m = make_manager(tmp_path, max_attempts=2, registry=registry)
+    try:
+        assert m.get("job-1").state == QUARANTINED
+        assert m.stats()["quarantined"] == 1
+        assert registry.counter("jobs_quarantined_total").value == 1
+    finally:
+        m.shutdown(wait=False)
 
 
 def test_user_cancel_does_not_burn_attempts(tmp_path):
