@@ -191,6 +191,21 @@ for table in report["tables"]:
 print(f"catalog smoke OK: {totals['tables_ok']} tables, {totals['fds']} FDs, "
       f"{totals['hints']} cross-table hints")
 PY
+# The same fixture with tables fanned out to child processes must give
+# the serial report's per-table FDs, sampling summaries and hints.
+"$PYTHON" -m repro sweep --input "$SMOKE_DIR/catalog.sqlite" --sample 500 \
+    --workers 2 --report "$SMOKE_DIR/catalog_workers2.json" >/dev/null
+"$PYTHON" - "$SMOKE_DIR/catalog.json" "$SMOKE_DIR/catalog_workers2.json" <<'PY'
+import json, sys
+serial, fanned = (json.load(open(path)) for path in sys.argv[1:3])
+assert fanned["totals"]["tables_error"] == 0, fanned["totals"]
+for key in ("fds", "sampling"):
+    a = {t["table"]: t[key] for t in serial["tables"]}
+    b = {t["table"]: t[key] for t in fanned["tables"]}
+    assert a == b, (key, a, b)
+assert serial["hints"] == fanned["hints"], (serial["hints"], fanned["hints"])
+print(f"catalog --workers 2 parity OK: {len(fanned['tables'])} tables match serial")
+PY
 
 echo "== streaming session smoke =="
 # In-process service round trip over the streaming surface: create a

@@ -1,37 +1,39 @@
 """Sweep orchestration: one guarded discovery job per table.
 
-The sweep plans one task per table (the connector's sorted table list),
-fans the tasks out through the parallel engine, and *guards* every task:
-a table whose worker raises, crashes, times out or is cancelled becomes
-a per-table **error record** in the report — a single bad table never
-aborts the catalog.
+The sweep plans one task per table (the connector's sorted table list)
+and *guards* every task: a table whose job raises, crashes, times out
+or is cancelled becomes a per-table **error record** in the report — a
+single bad table never aborts the catalog.
 
-Backends
---------
-* ``serial`` — tables run inline, one at a time; the reference path.
-* ``thread`` — tables fan out on a
-  :class:`~repro.parallel.ThreadExecutor`; cheap, but a hard worker
-  crash would take the sweep process with it.
-* ``process`` — tables still fan out on threads, but each thread
-  supervises one :func:`~repro.parallel.worker.run_in_process` child
-  per table: the child gets its own cancel token and wall-clock
-  timeout, dies alone on a crash (``WorkerCrashError`` → error
-  record), and its trace spans are stitched back under the sweep span.
+``workers`` alone decides the fan-out:
 
-Inside each table job the discovery itself runs the normal resilient
-pipeline (``FDX(resilient=True)``'s fallback ladder), so solver
-trouble degrades within the table before the guard ever sees it.
+* ``workers == 1`` — tables run inline, one at a time; the reference
+  path.
+* ``workers > 1`` — each table runs in its own supervised
+  :func:`~repro.parallel.worker.run_in_process` child, and a stdlib
+  ``ThreadPoolExecutor`` of ``workers`` threads supervises the
+  children. A child gets its own cancel token and the ``table_timeout``
+  budget, dies alone on a crash (``WorkerCrashError`` → error record),
+  and its trace spans are stitched back under its table's span.
+
+Tables never run on threads in one interpreter: each table is one
+CPU-bound Python/NumPy pipeline, and on threads the tables contend for
+the GIL (measured slower than serial; see docs/PARALLEL.md). Inside each
+table job the discovery runs the FDX fallback ladder, so solver trouble
+degrades within the table before the guard ever sees it.
 
 The fault point ``catalog.table`` fires in each table's *guard* (parent
-side, so an injected ``times=1`` plan fails exactly one table on any
-backend); ``parallel.worker_crash`` fires inside process-mode children
+side, so an injected ``times=1`` plan fails exactly one table whatever
+``workers`` is); ``parallel.worker_crash`` fires inside the children
 for hard-crash isolation. The chaos tests use both to prove injected
 failures yield error records, never sweep aborts.
 """
 
 from __future__ import annotations
 
+import contextvars
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..core.fdx import FDX
@@ -39,7 +41,6 @@ from ..constraints.keys import discover_keys
 from ..errors import CatalogError
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import Tracer, get_tracer
-from ..parallel.executor import ThreadExecutor
 from ..parallel.worker import run_in_process
 from ..resilience.cancel import CancelToken, set_current_cancel_token
 from ..resilience.faults import maybe_raise
@@ -48,8 +49,6 @@ from .report import CatalogReport, TableReport, column_signature
 from .sampling import DEFAULT_TOLERANCE, sample_table
 
 __all__ = ["SweepConfig", "sweep"]
-
-BACKENDS = ("serial", "thread", "process")
 
 #: Levelwise key search budget per table; keys are a report garnish, not
 #: the sweep's product, so they never dominate a table's wall time.
@@ -62,7 +61,9 @@ class SweepConfig:
 
     ``hyperparameters`` is forwarded to :class:`repro.FDX` verbatim
     (``lam``, ``sparsity``, ``seed``, ...). Parallelism lives at the
-    table level; each table's discovery is one serial pipeline.
+    table level (``workers``; above 1, each table runs in its own child
+    process under ``table_timeout``); each table's discovery is one
+    serial pipeline.
     """
 
     sample: int = 10_000
@@ -71,16 +72,13 @@ class SweepConfig:
     batch_size: int = DEFAULT_BATCH_ROWS
     tolerance: float = DEFAULT_TOLERANCE
     workers: int = 1
-    backend: str = "serial"
     table_timeout: float | None = None
     max_key_size: int = 2
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise CatalogError(
-                f"unknown sweep backend {self.backend!r}; options: {BACKENDS}"
-            )
+        if self.workers < 1:
+            raise CatalogError(f"workers must be >= 1, got {self.workers}")
         if self.sample < 2:
             raise CatalogError(f"sample size must be >= 2 rows, got {self.sample}")
 
@@ -92,7 +90,6 @@ class SweepConfig:
             "batch_size": self.batch_size,
             "tolerance": self.tolerance,
             "workers": self.workers,
-            "backend": self.backend,
             "table_timeout": self.table_timeout,
             "max_key_size": self.max_key_size,
             "hyperparameters": dict(self.hyperparameters),
@@ -192,20 +189,24 @@ def _table_job(task: dict) -> dict:
 def _guarded_table(
     task: dict,
     *,
-    backend: str,
+    in_child: bool,
     token: CancelToken,
     timeout: float | None,
     registry: MetricsRegistry,
     tracer: Tracer,
 ) -> dict:
-    """Run one table under its guard: any failure -> an error record."""
+    """Run one table under its guard: any failure -> an error record.
+
+    ``in_child`` runs the job in a supervised child process under
+    ``timeout``; otherwise it runs inline under ``token``.
+    """
     table = task["table"]
     start = time.perf_counter()
     try:
-        with tracer.span("catalog.table", table=table, backend=backend):
+        with tracer.span("catalog.table", table=table):
             token.raise_if_cancelled()
             maybe_raise("catalog.table", f"injected failure for table {table!r}")
-            if backend == "process":
+            if in_child:
                 record = run_in_process(
                     _table_job,
                     (task,),
@@ -248,11 +249,11 @@ def sweep(
     """Sweep every table of ``connector`` and consolidate the report.
 
     Tables are planned in sorted-name order; each runs under its own
-    guard (and, in process mode, its own supervised child with a cancel
-    token and timeout). ``cancel_token`` — typically a service job's —
-    trips every per-table token, so cancellation drains fast but still
-    yields a report whose unfinished tables are ``cancelled`` error
-    records rather than silence.
+    guard (and, with ``workers > 1``, its own supervised child with a
+    cancel token and timeout). ``cancel_token`` — typically a service
+    job's — trips every per-table token, so cancellation drains fast but
+    still yields a report whose unfinished tables are ``cancelled``
+    error records rather than silence.
     """
     config = config if config is not None else SweepConfig()
     registry = registry if registry is not None else get_registry()
@@ -269,7 +270,7 @@ def sweep(
     def run_one(task: dict) -> dict:
         return _guarded_table(
             task,
-            backend=config.backend,
+            in_child=config.workers > 1,
             token=_LinkedToken(cancel_token),
             timeout=config.table_timeout,
             registry=registry,
@@ -280,27 +281,23 @@ def sweep(
         "catalog.sweep",
         source=connector.describe(),
         tables=len(names),
-        backend=config.backend,
         workers=config.workers,
     ):
-        if config.backend == "serial" or config.workers <= 1:
+        if config.workers == 1:
             records = [run_one(task) for task in tasks]
         else:
-            # Thread fan-out for both pooled backends: in process mode
-            # each thread supervises one child process per table, so a
-            # crash is isolated to its table.
-            with ThreadExecutor(
-                min(config.workers, max(len(names), 1)),
-                registry=registry,
-                tracer=tracer,
-            ) as executor:
-                # A private never-set token keeps map() from aborting on
-                # the sweep-level token: cancellation must drain through
-                # the per-table guards into error records instead.
-                records = executor.map(
-                    run_one, tasks, label="catalog.tables",
-                    cancel_token=CancelToken(),
-                )
+            # The pool threads only supervise children. Each task runs in
+            # a copy of this context, so its catalog.table span nests
+            # under catalog.sweep and keeps its trace id. The guard turns
+            # every failure into a record, so no future raises.
+            with ThreadPoolExecutor(
+                max_workers=config.workers, thread_name_prefix="repro-sweep"
+            ) as pool:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, run_one, task)
+                    for task in tasks
+                ]
+                records = [future.result() for future in futures]
 
     seconds = time.perf_counter() - start
     registry.histogram(

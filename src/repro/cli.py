@@ -295,7 +295,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
         workers=args.workers,
-        backend="serial" if args.workers <= 1 else args.backend,
         table_timeout=args.timeout,
         hyperparameters=hyperparameters,
     )
@@ -498,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adequacy tolerance on the max covariance standard "
                         "error (standardized scale)")
     p.add_argument("--workers", type=int, default=1, metavar="K",
-                   help="tables processed concurrently (1 = serial)")
-    p.add_argument("--backend", choices=("serial", "thread", "process"),
-                   default="process",
-                   help="where table jobs run when --workers > 1; 'process' "
-                        "gives each table its own supervised child, so one "
-                        "crashing table becomes an error record")
+                   help="tables processed concurrently (1 = serial, inline); "
+                        "above 1 each table runs in its own supervised child "
+                        "process, so one crashing table becomes an error "
+                        "record")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-table wall-clock budget (process backend)")
+                   help="per-table wall-clock budget (with --workers > 1)")
     p.add_argument("--lam", type=float, default=None,
                    help="graphical-lasso penalty forwarded to FDX")
     p.add_argument("--sparsity", type=float, default=None,

@@ -101,7 +101,9 @@ class DenialConstraintDiscovery:
         Fraction of sampled tuple pairs allowed to satisfy the full
         conjunction (0 = exact DCs on the sample).
     n_pairs:
-        Number of tuple pairs sampled for evidence sets.
+        Tuple-pair budget for evidence sets. A relation whose ordered
+        pairs of distinct rows all fit in it uses each pair once (exact
+        evidence); a larger one samples pairs.
     numeric_order_predicates:
         Also generate ``<`` / ``>`` predicates for numeric attributes
         (enables order dependencies).
@@ -151,10 +153,8 @@ class DenialConstraintDiscovery:
                 constraints=[], n_pairs=0, n_predicates=len(predicates),
                 seconds=time.perf_counter() - start,
             )
-        n_pairs = min(self.n_pairs, n * (n - 1) // 2)
-        left = rng.integers(n, size=n_pairs)
-        offset = 1 + rng.integers(n - 1, size=n_pairs)
-        right = (left + offset) % n
+        left, right = _tuple_pairs(n, self.n_pairs, rng)
+        n_pairs = len(left)
 
         evidence = np.zeros(n_pairs, dtype=np.int64)
         for bit, pred in enumerate(predicates):
@@ -201,6 +201,24 @@ class DenialConstraintDiscovery:
             yield combo
 
 
+def _tuple_pairs(
+    n: int, n_pairs: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices ``(left, right)`` of the tuple pairs evidence is built on.
+
+    When every ordered pair of distinct rows fits in the budget
+    (n(n−1) ≤ ``n_pairs``), each is taken once, so small relations get
+    exact evidence. Otherwise at most min(``n_pairs``, n(n−1)/2) pairs
+    are drawn with replacement.
+    """
+    if n * (n - 1) <= n_pairs:
+        return np.nonzero(~np.eye(n, dtype=bool))
+    n_pairs = min(n_pairs, n * (n - 1) // 2)
+    left = rng.integers(n, size=n_pairs)
+    right = (left + 1 + rng.integers(n - 1, size=n_pairs)) % n
+    return left, right
+
+
 def _evaluate_predicate(
     pred: Predicate, col: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> np.ndarray:
@@ -235,17 +253,17 @@ def _evaluate_predicate(
 def check_denial_constraint(
     relation: Relation, dc: DenialConstraint, n_pairs: int = 5000, seed: int = 0
 ) -> float:
-    """Violation rate of ``dc`` on sampled tuple pairs of ``relation``."""
-    rng = np.random.default_rng(seed)
+    """Violation rate of ``dc`` on the tuple pairs of ``relation``.
+
+    Exact (every ordered pair of distinct rows) when n(n−1) ≤
+    ``n_pairs``; a sampled estimate otherwise.
+    """
     n = relation.n_rows
     if n < 2:
         return 0.0
-    n_pairs = min(n_pairs, n * (n - 1) // 2)
-    left = rng.integers(n, size=n_pairs)
-    offset = 1 + rng.integers(n - 1, size=n_pairs)
-    right = (left + offset) % n
-    satisfied = np.ones(n_pairs, dtype=bool)
+    left, right = _tuple_pairs(n, n_pairs, np.random.default_rng(seed))
+    satisfied = np.ones(len(left), dtype=bool)
     for pred in dc.predicates:
         col = relation.column(pred.attribute)
         satisfied &= _evaluate_predicate(pred, col, left, right)
-    return float(np.count_nonzero(satisfied)) / n_pairs
+    return float(np.count_nonzero(satisfied)) / len(left)

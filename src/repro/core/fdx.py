@@ -35,7 +35,6 @@ from ..resilience.cancel import current_cancel_token
 from .fd import FD
 from .structure import (
     StructureEstimate,
-    learn_structure,
     learn_structure_resilient,
     sample_covariance,
 )
@@ -354,15 +353,6 @@ class FDX:
         ``stage_seconds``. Off by default: tracemalloc slows allocation
         by a multiple, so this is a diagnosis knob (CLI
         ``discover --memory``), not an always-on metric.
-    resilient:
-        Route structure learning through the fallback ladder
-        (:func:`repro.core.structure.learn_structure_resilient`): solver
-        non-convergence or ill-conditioning degrades gracefully —
-        recondition + boosted penalty, then neighborhood selection, then
-        an empty model — instead of raising or silently returning a bad
-        fit. The ladder's provenance lands in ``diagnostics["degraded"]``
-        / ``diagnostics["fallback_chain"]``. On by default; turn off for
-        research runs that must see raw solver behavior.
     strict:
         Make :func:`validate_relation` reject degenerate columns
         (constant / all-missing / duplicate) with
@@ -371,8 +361,8 @@ class FDX:
     glasso_max_iter:
         Outer-iteration cap for every graphical-lasso solve, each point
         of the eBIC grid included. Lowering it bounds worst-case solve
-        time (the service's latency lever); with
-        ``resilient`` the ladder absorbs the resulting non-convergence.
+        time (the service's latency lever); the fallback ladder absorbs
+        the resulting non-convergence.
     evidence:
         Record the per-FD evidence ledger (:mod:`repro.obs.explain`) in
         ``diagnostics["evidence"]``: precision/partial-correlation
@@ -396,7 +386,6 @@ class FDX:
         seed: int = 0,
         tracer: Tracer | None = None,
         track_memory: bool = False,
-        resilient: bool = True,
         strict: bool = False,
         glasso_max_iter: int = 100,
         evidence: bool = True,
@@ -420,7 +409,6 @@ class FDX:
         self.seed = seed
         self.tracer = tracer
         self.track_memory = track_memory
-        self.resilient = resilient
         self.strict = strict
         self.glasso_max_iter = glasso_max_iter
         self.evidence = evidence
@@ -459,10 +447,13 @@ class FDX:
         Raises :class:`repro.errors.InputValidationError` subclasses for
         inputs the pipeline cannot process (see :func:`validate_relation`);
         every other solver-side failure is absorbed by the fallback
-        ladder when ``resilient`` is on, so a valid input always yields
-        an :class:`FDXResult` (possibly a degraded one — check
-        ``diagnostics["degraded"]``). One :class:`StageClock` times the
-        whole call, validation and the evidence ledger included.
+        ladder (:func:`repro.core.structure.learn_structure_resilient`:
+        recondition + boosted penalty, then neighborhood selection, then
+        an empty model), so a valid input always yields an
+        :class:`FDXResult` (possibly a degraded one — check
+        ``diagnostics["degraded"]`` and ``diagnostics["fallback_chain"]``).
+        One :class:`StageClock` times the whole call, validation and the
+        evidence ledger included.
         """
         tracer = self.tracer if self.tracer is not None else get_tracer()
         clock = StageClock(tracer, MemoryTracker(enabled=self.track_memory))
@@ -487,8 +478,7 @@ class FDX:
             S = sample_covariance(
                 samples, relation.n_attributes if centered else 1, clock=clock
             )
-            learner = learn_structure_resilient if self.resilient else learn_structure
-            estimate = learner(
+            estimate = learn_structure_resilient(
                 S,
                 samples.shape[0],
                 lam=self.lam,

@@ -478,14 +478,12 @@ def _catalog_fixture(n_tables: int, rows_per_table: int) -> str:
 _catalog_fixture._cache = {}
 
 
-def _catalog_sweep_case(
-    backend: str, workers: int
-) -> Callable[[bool], Callable[[], object]]:
-    """Whole-catalog sweep, serial vs process table fan-out.
+def _catalog_sweep_case(workers: int) -> Callable[[bool], Callable[[], object]]:
+    """Whole-catalog sweep, inline (1 worker) vs process table fan-out.
 
     The smoke variant sweeps 3 small tables; the full variant the
     8-table catalog the acceptance ledger tracks. Speedup is read off
-    the ledger, not asserted: on a single-core host the process backend
+    the ledger, not asserted: on a single-core host the process fan-out
     pays one child per table with no parallel hardware to win it back.
     """
 
@@ -494,9 +492,7 @@ def _catalog_sweep_case(
 
         n_tables, rows = (3, 400) if smoke else (8, 2000)
         path = _catalog_fixture(n_tables, rows)
-        config = SweepConfig(
-            sample=500, backend=backend, workers=workers, seed=0
-        )
+        config = SweepConfig(sample=500, workers=workers, seed=0)
 
         def run():
             connector = SqliteConnector(path)
@@ -550,8 +546,8 @@ SUITES: dict[str, tuple[BenchCase, ...]] = {
         BenchCase("fallback_ladder_discover", _case_fallback_ladder),
     ),
     "catalog": (
-        BenchCase("sweep_serial_8tables", _catalog_sweep_case("serial", 1)),
-        BenchCase("sweep_process_8tables", _catalog_sweep_case("process", 4)),
+        BenchCase("sweep_serial_8tables", _catalog_sweep_case(1)),
+        BenchCase("sweep_process_8tables", _catalog_sweep_case(4)),
         BenchCase("sampling_reservoir", _case_catalog_sampling),
     ),
     "streaming": (

@@ -10,8 +10,8 @@ become ``"i"`` instant markers on the same timeline.
 Track layout: each trace id becomes one *process* row (named with the
 trace id), and within it spans are grouped by their origin OS process
 (the handler vs. each worker pid, read from the ``worker_pid``
-attribute). Because sibling spans can overlap in time (thread-backend
-parallel tasks), each origin group is split greedily into *lanes*: a
+attribute). Because sibling spans can overlap in time (catalog tables
+supervised on pool threads), each origin group is split greedily into *lanes*: a
 span goes to the first lane where it either nests inside the open span
 or starts after the lane's last end, so the viewer never has to render
 partially overlapping slices on one track.

@@ -51,12 +51,21 @@ from ..obs.trace import (
 from ..resilience import faults
 from ..resilience.cancel import CancelledError, CancelToken, set_current_cancel_token
 from ..resilience.watchdog import Heartbeat, set_current_heartbeat
-from .executor import POLL_INTERVAL, preferred_start_method
 
-__all__ = ["run_in_process"]
+__all__ = ["POLL_INTERVAL", "preferred_start_method", "run_in_process"]
 
 #: Default seconds to wait between cancellation escalation steps.
 DEFAULT_GRACE = 2.0
+
+#: Seconds between result/cancellation/deadline polls while supervising.
+POLL_INTERVAL = 0.05
+
+
+def preferred_start_method() -> str:
+    """``fork`` where available (cheap, inherits numpy pages copy-on-write),
+    else ``spawn`` (macOS/Windows default; see docs/PARALLEL.md caveats)."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else "spawn"
 
 
 def _watch_for_cancel(conn: multiprocessing.connection.Connection,

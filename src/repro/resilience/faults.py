@@ -22,7 +22,7 @@ Built-in injection points
                            table job — proves a single-table failure becomes
                            a per-table error record, never a sweep abort.
                            Fires parent-side, so ``times=1`` fails exactly
-                           one table on any sweep backend
+                           one table whatever the sweep's worker count
 ``parallel.worker_crash``  a ``run_in_process`` child dies hard
                            (``os._exit(3)``) before running its job —
                            exercises ``WorkerCrashError`` surfacing in the

@@ -98,8 +98,12 @@ class ResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str) -> Any | None:
-        """Return the cached payload or None; refreshes LRU recency."""
+    def get(self, key: str, *, count_miss: bool = True) -> Any | None:
+        """Return the cached payload or None; refreshes LRU recency.
+
+        ``count_miss=False`` leaves a miss uncounted, for a caller that
+        will look the same key up again in the same request.
+        """
         now = time.monotonic()
         with self._lock:
             entry = self._entries.get(key)
@@ -109,8 +113,9 @@ class ResultCache:
                 self._record("expiration")
                 entry = None
             if entry is None:
-                self.misses += 1
-                self._record("miss")
+                if count_miss:
+                    self.misses += 1
+                    self._record("miss")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

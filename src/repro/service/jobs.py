@@ -51,8 +51,7 @@ from typing import Any, Callable
 
 from ..errors import ReproError, WorkerCrashError
 from ..obs.trace import current_trace_id
-from ..parallel.executor import preferred_start_method
-from ..parallel.worker import run_in_process
+from ..parallel.worker import preferred_start_method, run_in_process
 from ..resilience import faults
 from ..resilience.cancel import CancelToken, current_cancel_token, set_current_cancel_token
 from ..resilience.degrade import DegradableWriter

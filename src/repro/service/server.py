@@ -373,14 +373,16 @@ class DiscoveryService:
 
         A byte-identical repeat of a cached request is answered from one
         SHA-256 of the body plus two cache lookups, without touching the
-        JSON parser or building a :class:`Relation`.
+        JSON parser or building a :class:`Relation`. A repeat whose result
+        was evicted or expired falls through to :meth:`discover`, which
+        counts the request's one results-cache miss.
         """
         if not raw:
             raise ProtocolError("request body must be a JSON object")
         digest = hashlib.sha256(raw).hexdigest()
         fingerprint = self._body_index.get(digest)
         if fingerprint is not None:
-            cached = self.cache.get(fingerprint)
+            cached = self.cache.get(fingerprint, count_miss=False)
             if cached is not None:
                 self.registry.counter("discover_cache_hits").inc()
                 return 200, envelope(

@@ -68,16 +68,31 @@ def test_sweep_is_deterministic(catalog_db):
     assert a["hints"] == b["hints"]
 
 
-def test_injected_table_fault_yields_one_error_record(catalog_db):
+def _assert_one_injected_error_record(catalog_db, workers):
     injector = FaultInjector(seed=1)
     injector.inject("catalog.table", times=1)
     with injector.install():
-        report = sweep(SqliteConnector(catalog_db), SweepConfig(sample=300))
+        report = sweep(
+            SqliteConnector(catalog_db),
+            SweepConfig(sample=300, workers=workers),
+        )
     totals = report.totals
     assert totals["tables_error"] == 1 and totals["tables_ok"] == 2
     (failed,) = [t for t in report.tables if t.status == "error"]
     assert failed.error["type"] == "InjectedFault"
     assert failed.table in failed.error["message"]
+
+
+def test_injected_table_fault_yields_one_error_record(catalog_db):
+    """The guard turns an injected failure of an inline table into one
+    record, and the other tables still succeed."""
+    _assert_one_injected_error_record(catalog_db, workers=1)
+
+
+def test_thread_backend_guards_logical_failures(catalog_db):
+    """With workers > 1 the tables fan out from a thread pool; a failure
+    on a pool thread, before its child starts, is still one record."""
+    _assert_one_injected_error_record(catalog_db, workers=2)
 
 
 def test_worker_crash_isolated_to_its_table(catalog_db):
@@ -92,7 +107,7 @@ def test_worker_crash_isolated_to_its_table(catalog_db):
     with injector.install():
         report = sweep(
             SqliteConnector(catalog_db),
-            SweepConfig(sample=300, backend="process", workers=2),
+            SweepConfig(sample=300, workers=2),
         )
     assert len(report.tables) == 3
     assert all(t.status == "error" for t in report.tables)
@@ -102,22 +117,13 @@ def test_worker_crash_isolated_to_its_table(catalog_db):
 def test_process_backend_matches_serial_results(catalog_db):
     serial = sweep(SqliteConnector(catalog_db), SweepConfig(sample=300))
     process = sweep(
-        SqliteConnector(catalog_db),
-        SweepConfig(sample=300, backend="process", workers=2),
+        SqliteConnector(catalog_db), SweepConfig(sample=300, workers=2)
     )
     assert [t.fds for t in serial.tables] == [t.fds for t in process.tables]
+    assert [t.sampling for t in serial.tables] == [
+        t.sampling for t in process.tables
+    ]
     assert serial.hints == process.hints
-
-
-def test_thread_backend_guards_logical_failures(catalog_db):
-    injector = FaultInjector(seed=1)
-    injector.inject("catalog.table", times=1)
-    with injector.install():
-        report = sweep(
-            SqliteConnector(catalog_db),
-            SweepConfig(sample=300, backend="thread", workers=2),
-        )
-    assert report.totals["tables_error"] == 1
 
 
 def test_pre_cancelled_sweep_yields_cancelled_records(catalog_db):
@@ -131,24 +137,42 @@ def test_pre_cancelled_sweep_yields_cancelled_records(catalog_db):
 
 
 def test_sweep_metrics_and_span_tree(catalog_db):
-    registry = MetricsRegistry()
-    sink = ListSink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    sweep(
-        SqliteConnector(catalog_db), SweepConfig(sample=300),
-        registry=registry, tracer=tracer,
-    )
-    snapshot = registry.snapshot()
-    assert snapshot["counters"].get("catalog_tables_total{status=ok}") == 3.0
-    assert snapshot["histograms"]["catalog_sweep_seconds"]["count"] == 1
-    names = [e.get("name") for e in sink.events if e.get("type") == "span"]
-    assert "catalog.sweep" in names
-    assert names.count("catalog.table") == 3
+    """A sweep opened under a span is one trace: every table span is a
+    child of the sweep span, inline or supervised from a pool thread,
+    and with workers > 1 each child's spans are stitched under their
+    table."""
+    for workers in (1, 2):
+        registry = MetricsRegistry()
+        sink = ListSink()
+        tracer = Tracer(enabled=True, sinks=[sink])
+        with tracer.span("request.root") as outer:
+            sweep(
+                SqliteConnector(catalog_db),
+                SweepConfig(sample=300, workers=workers),
+                registry=registry, tracer=tracer,
+            )
+        snapshot = registry.snapshot()
+        assert snapshot["counters"].get("catalog_tables_total{status=ok}") == 3.0
+        assert snapshot["histograms"]["catalog_sweep_seconds"]["count"] == 1
+        spans = [e for e in sink.events if e.get("type") == "span"]
+        assert len({s["trace_id"] for s in spans}) == 1, workers
+        (root,) = [s for s in spans if s["name"] == "catalog.sweep"]
+        assert root["parent_id"] == outer.span_id
+        tables = [s for s in spans if s["name"] == "catalog.table"]
+        assert len(tables) == 3
+        assert all(t["parent_id"] == root["span_id"] for t in tables), workers
+        jobs = [s for s in spans if s["name"] == "worker.job"]
+        assert sorted(j["parent_id"] for j in jobs) == (
+            [] if workers == 1 else sorted(t["span_id"] for t in tables)
+        )
 
 
 def test_sweep_config_validation():
-    with pytest.raises(CatalogError, match="unknown sweep backend"):
-        SweepConfig(backend="gpu")
+    with pytest.raises(CatalogError, match="workers"):
+        SweepConfig(workers=0)
+    # Configs that still name a backend are rejected, not mapped.
+    with pytest.raises(CatalogError, match="unknown sweep config"):
+        SweepConfig.from_dict({"backend": "thread"})
     with pytest.raises(CatalogError, match="sample size"):
         SweepConfig(sample=1)
     with pytest.raises(CatalogError, match="unknown sweep config"):

@@ -79,6 +79,16 @@ def test_discover_has_no_workers_flag(capsys):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_sweep_has_no_backend_flag(capsys):
+    """``--workers`` alone decides a sweep's fan-out: no ``--backend``."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(
+            ["sweep", "--input", "db.sqlite", "--backend", "process"]
+        )
+    assert excinfo.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
 def test_serve_subcommand_registered():
     parser = build_parser()
     args = parser.parse_args(["serve", "--port", "0", "--workers", "2"])

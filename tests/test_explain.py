@@ -3,8 +3,7 @@
 Covers the :mod:`repro.obs.explain` unit surface plus its integration
 into ``FDX.discover`` diagnostics: every emitted FD must carry a
 retrievable evidence record, near-misses must be margin-ranked and
-capped, and the whole ledger must survive ``FDXResult`` serialization
-and stay byte-identical across the serial/thread/process backends.
+capped, and the whole ledger must survive ``FDXResult`` serialization.
 """
 
 import json

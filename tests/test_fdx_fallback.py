@@ -120,13 +120,6 @@ def test_reconditioned_rung_recovers_before_neighborhood():
     assert chain[-1]["ok"] is True
 
 
-def test_resilient_off_keeps_raw_solver_behaviour():
-    result = FDX(glasso_max_iter=1, resilient=False).discover(fd_relation())
-    assert result.diagnostics["glasso_converged"] is False
-    assert result.diagnostics["degraded"] is False
-    assert "fallback_chain" not in result.diagnostics
-
-
 def test_ladder_synthesizes_identity_when_everything_raises(monkeypatch):
     import repro.core.structure as structure_mod
 

@@ -226,15 +226,20 @@ def test_ebic_model_is_the_selected_grid_fit(ebic_relation):
 
 
 def test_glasso_max_iter_bounds_every_ebic_grid_solve(ebic_relation):
+    """``max_iter`` caps each grid solve where the grid runs, and FDX's
+    ``glasso_max_iter`` reaches the configured (first) ladder attempt."""
     from repro import FDX
+    from repro.core.structure import learn_structure, sample_covariance
 
-    result = FDX(lam="ebic", glasso_max_iter=2, resilient=False).discover(
-        ebic_relation
-    )
-    path = result.diagnostics["solver_health"]["lambda"]["path"]
+    samples = FDX().transform_relation(ebic_relation)
+    S = sample_covariance(samples, ebic_relation.n_attributes)
+    estimate = learn_structure(S, samples.shape[0], lam="ebic", max_iter=2)
+    path = estimate.lambda_info["path"]
     assert len(path) == len(DEFAULT_LAMBDA_GRID)
     assert all(point["iterations"] <= 2 for point in path)
-    assert result.diagnostics["glasso_iterations"] <= 2
+
+    result = FDX(lam="ebic", glasso_max_iter=2).discover(ebic_relation)
+    assert result.diagnostics["solver_health"]["runs"][0]["iterations"] <= 2
 
 
 def test_ebic_selection_runs_in_the_glasso_stage(monkeypatch, ebic_relation):

@@ -4,11 +4,13 @@ Discovery folds the pair-sample covariance serially, but the fold's
 contract is about the partials, not about who computes them: every
 fixed row chunk reduces to a :class:`CovarianceAccumulator`, and merging
 those partials in chunk order gives the same bits whether the chunks
-were reduced inline, on a :class:`ThreadExecutor`, or in
-``run_in_process`` children (partials come back by pickle, which is
+were reduced inline, on the lanes of a stdlib ``ThreadPoolExecutor``,
+or in ``run_in_process`` children (partials come back by pickle, which is
 exact for float64). The matrix spans several ``DEFAULT_CHUNK_ROWS``
 chunks, so the multi-chunk fold genuinely runs.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from repro.linalg.covariance import (
     empirical_covariance,
     empirical_covariance_chunked,
 )
-from repro.parallel import ThreadExecutor, run_in_process
+from repro.parallel import run_in_process
 
 BACKEND_GRID = [("thread", 2), ("thread", 3), ("process", 2), ("process", 4)]
 
@@ -49,8 +51,8 @@ def _partials_on_lanes(X, backend, workers):
         return run_in_process(_chunk_partials, (X[start:stop], rebased),
                               timeout=60)
 
-    with ThreadExecutor(workers) as ex:
-        lanes = ex.map(reduce_lane, groups)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        lanes = list(pool.map(reduce_lane, groups))
     return [partial for lane in lanes for partial in lane]
 
 

@@ -1,22 +1,21 @@
 """Trace stitching across threads and processes: one trace id.
 
-A thread map or a supervised ``run_in_process`` job started under an
-open span yields a *single* trace: worker-side spans share the
-request's trace id and are parent-linked back to the submitting span,
-whether they closed on a pool thread or in a child process.
+Pool lanes that run in a copy of the submitting context, and supervised
+``run_in_process`` jobs started under an open span, yield a *single*
+trace: their spans share the request's trace id and are parent-linked
+back to the submitting span, whether they closed on a pool thread or in
+a child process. (A catalog sweep's tables are covered in
+``test_catalog_sweep.py``.)
 """
 
+import contextvars
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs import ListSink, Tracer, set_trace_id, write_chrome_trace
-from repro.parallel import ThreadExecutor
 from repro.parallel.worker import run_in_process
-
-
-def _square(x):
-    return x * x
 
 
 def _traced_child():
@@ -31,34 +30,53 @@ def _span_events(sink):
     return [e for e in sink.events if e.get("type") == "span"]
 
 
-@pytest.mark.parametrize("backend", ["thread"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_map_single_trace_across_backends(backend):
+    """Each lane works on its pool thread (``thread``) or supervises a
+    ``run_in_process`` child from it (``process``), the way a sweep with
+    workers > 1 does."""
     sink = ListSink()
     tracer = Tracer(enabled=True, sinks=[sink])
-    token = set_trace_id("feedface00000001")
+
+    def lane(item):
+        with tracer.span("lane", item=item):
+            if backend == "thread":
+                return os.getpid()
+            return run_in_process(_traced_child, tracer=tracer, timeout=60)
+
+    set_trace_id("feedface00000001")
     try:
-        with ThreadExecutor(2, tracer=tracer) as executor:
-            with tracer.span("request.root"):
-                results = executor.map(_square, [1, 2, 3])
+        with tracer.span("request.root") as root:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, lane, item)
+                    for item in range(3)
+                ]
+                pids = [future.result() for future in futures]
     finally:
         set_trace_id(None)
-    assert results == [1, 4, 9]
 
     spans = _span_events(sink)
     # Exactly one trace id across handler-side and worker-side spans.
     assert {s["trace_id"] for s in spans} == {"feedface00000001"}
-    by_name = {}
-    for s in spans:
-        by_name.setdefault(s["name"], []).append(s)
-    assert len(by_name["parallel.map"]) == 1
-    assert len(by_name["parallel.task"]) == 3
-    map_span = by_name["parallel.map"][0]
-    assert map_span["attributes"]["backend"] == backend
-    # Every task span is parent-linked to the map span, although it
-    # closed on a pool thread.
-    assert all(t["parent_id"] == map_span["span_id"] for t in by_name["parallel.task"])
-    assert map_span["parent_id"] == by_name["request.root"][0]["span_id"]
-    del token
+    lanes = [s for s in spans if s["name"] == "lane"]
+    assert sorted(s["attributes"]["item"] for s in lanes) == [0, 1, 2]
+    # Every lane span is parent-linked to the submitting span, although
+    # it closed on a pool thread.
+    assert all(s["parent_id"] == root.span_id for s in lanes)
+    jobs = [s for s in spans if s["name"] == "worker.job"]
+    inner = [s for s in spans if s["name"] == "inner.stage"]
+    if backend == "thread":
+        assert pids == [os.getpid()] * 3
+        assert jobs == [] and inner == []
+    else:
+        assert os.getpid() not in pids
+        assert sorted(j["parent_id"] for j in jobs) == sorted(
+            s["span_id"] for s in lanes
+        )
+        assert sorted(s["parent_id"] for s in inner) == sorted(
+            j["span_id"] for j in jobs
+        )
 
 
 def test_run_in_process_stitches_worker_spans():

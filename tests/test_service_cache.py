@@ -100,3 +100,31 @@ class TestResultCache:
         cache.put("k", 1)
         cache.clear()
         assert cache.get("k") is None
+
+
+def test_one_results_cache_event_per_discover_request():
+    """A body-memo hit whose result was evicted is one miss, not two."""
+    import json
+
+    from repro.service.protocol import relation_to_wire
+    from repro.service.server import DiscoveryService
+
+    def body(seed):
+        rows = [(i % 7, (i * seed) % 5, i % 3) for i in range(60)]
+        relation = Relation.from_rows(["a", "b", "c"], rows)
+        return json.dumps({"relation": relation_to_wire(relation)}).encode()
+
+    service = DiscoveryService(workers=1, cache_entries=1)
+    try:
+        a, b = body(1), body(2)
+        for raw in (a, b, a, a):
+            status, _ = service.discover_bytes(raw)
+            assert status == 200
+        stats = service.cache.stats()
+        assert (stats["misses"], stats["hits"]) == (3, 1)
+        counters = service.registry.snapshot()["counters"]
+        assert counters["discover_cache_misses"] == 3
+        assert counters["discover_cache_hits"] == 1
+        assert counters["cache_events_total{cache=results,event=miss}"] == 3
+    finally:
+        service.close()
