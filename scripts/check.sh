@@ -7,8 +7,8 @@
 # here; `python -m repro bench` without --report-only gates), and the
 # hash-seed / streaming / flight-recorder end-to-end smokes, a check
 # that the benchmark's span wrappers still reach the pipeline, and short
-# benchmark windows (fixed λ and eBIC) whose every result must pass the
-# benchmark's oracle.
+# benchmark windows (fixed λ, eBIC and the HTTP service mix) whose every
+# result must pass the benchmark's oracle.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -73,11 +73,13 @@ print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
 PY
 
 echo "== perfbench oracle =="
-# Two seconds of the benchmark's fig6_wide (fixed λ) and ebic_solver
-# (eBIC λ grid) workloads (perfbench/run.py): every discovery they time
-# is checked against the library oracle, and the JSON summary on each
-# run's last line must report no failed result.
-for workload in fig6_wide ebic_solver; do
+# Two seconds of each of the benchmark's workloads (perfbench/run.py):
+# fig6_wide (fixed λ), ebic_solver (eBIC λ grid) and service_mix (a
+# `repro serve` subprocess: cache misses, hits, session appends and warm
+# refreshes). Every result they time is checked against the library
+# oracle, and the JSON summary on each run's last line must report no
+# failed result.
+for workload in fig6_wide ebic_solver service_mix; do
     PERFBENCH_LAST="$("$PYTHON" perfbench/run.py --workload "$workload" --seed 1 --seconds 2 | tail -n 1)"
     "$PYTHON" - "$workload" "$PERFBENCH_LAST" <<'PY'
 import json, sys

@@ -61,9 +61,10 @@ class StructureEstimate:
     #: the fit telemetry of every λ tried. Plain values only.
     lambda_info: dict | None = None
     #: One plain-value record per solve (every fallback rung included):
-    #: estimator, λ, iterations, convergence, objective, duality gap,
-    #: active-set size, input condition number, warm/cold start. No
-    #: wall-clock fields — records are identical across repeated runs.
+    #: estimator, λ, iterations, convergence (certified), objective, KKT
+    #: residual, active-set size, input condition number, warm/cold
+    #: start. No wall-clock fields — records are identical across
+    #: repeated runs.
     solver_runs: list = field(default_factory=list)
 
     @property
@@ -239,17 +240,17 @@ def learn_structure(
             if faults.fires("glasso.nonconverge"):
                 converged = False  # chaos harness: simulated non-convergence
             glasso_objective = fit.objective
-            duality_gap = fit.dual_gap
+            kkt_residual = fit.kkt_residual
             active_set_size = int(fit.support.sum()) // 2
             span.set_attributes(
                 iterations=iterations,
                 converged=converged,
                 objective=fit.objective,
-                duality_gap=fit.dual_gap,
+                kkt_residual=fit.kkt_residual,
             )
         elif estimator == "neighborhood":
             precision = neighborhood_selection(S, lam).precision
-            iterations, converged, duality_gap = 1, True, None
+            iterations, converged, kkt_residual = 1, True, None
             off_support = np.abs(precision) > 1e-10
             np.fill_diagonal(off_support, False)
             active_set_size = int(off_support.sum()) // 2
@@ -274,7 +275,7 @@ def learn_structure(
             "iterations": int(iterations),
             "converged": bool(converged),
             "objective": _finite_or_none(glasso_objective),
-            "duality_gap": _finite_or_none(duality_gap),
+            "kkt_residual": _finite_or_none(kkt_residual),
             "active_set_size": active_set_size,
             "condition_number": float(condition_number),
             "warm_start": warm_start is not None,
@@ -415,7 +416,7 @@ def learn_structure_resilient(
             "iterations": 0,
             "converged": False,
             "objective": None,
-            "duality_gap": None,
+            "kkt_residual": None,
             "active_set_size": 0,
             "condition_number": 1.0,
             "warm_start": False,

@@ -233,12 +233,14 @@ def correlation_from_covariance(S: np.ndarray) -> np.ndarray:
     """Convert a covariance matrix to a correlation matrix.
 
     Zero-variance coordinates keep unit self-correlation and zero
-    cross-correlation instead of producing NaNs.
+    cross-correlation instead of producing NaNs. Off-diagonal entries
+    are clipped to ``[-1, 1]``: with a subnormal variance, ``sqrt`` loses
+    enough precision to push a ratio past 1.
     """
     S = np.asarray(S, dtype=float)
     d = np.sqrt(np.clip(np.diag(S), 0.0, None))
     safe = np.where(d > 0, d, 1.0)
-    R = S / np.outer(safe, safe)
+    R = np.clip(S / np.outer(safe, safe), -1.0, 1.0)
     R[np.diag_indices_from(R)] = 1.0
     zero = d == 0
     if np.any(zero):

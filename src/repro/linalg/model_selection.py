@@ -32,7 +32,7 @@ class LambdaSelection:
     ``best_fit`` is the graphical-lasso solve at ``best_lambda``: the
     model itself, so the selected penalty is never solved twice.
     ``fits`` carries one plain-value record per grid point — score,
-    active-set size, iterations, convergence, objective, duality gap —
+    active-set size, iterations, convergence, objective, KKT residual —
     the raw material of the λ-path solver telemetry
     (``diagnostics["solver_health"]``).
     """
@@ -161,7 +161,7 @@ def select_lambda_ebic(
             "iterations": int(result.n_iter),
             "converged": bool(result.converged),
             "objective": _finite_or_none(result.objective),
-            "duality_gap": _finite_or_none(result.dual_gap),
+            "kkt_residual": _finite_or_none(result.kkt_residual),
         }
     best = min(scores, key=lambda lam: (scores[lam], lam))
     return LambdaSelection(

@@ -6,7 +6,7 @@ neighborhood solve, including every fallback-ladder rung and every eBIC
 grid point) and turns it into:
 
 * ``solver_*`` registry series — run counters by convergence status,
-  iteration / duality-gap / condition-number / active-set histograms,
+  iteration / KKT-residual / condition-number / active-set histograms,
   warm-vs-cold start counters — all carrying ``# HELP`` text for the
   Prometheus exposition;
 * flight-recorder trigger reasons (``solver.nonconverge``,
@@ -32,8 +32,9 @@ __all__ = ["SolverHealthMonitor"]
 #: Histogram buckets for outer-iteration counts (glasso max_iter is 100).
 ITERATION_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
 
-#: Log-spaced duality-gap buckets (a converged solve sits near zero).
-DUALITY_GAP_BUCKETS = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 100.0)
+#: Log-spaced KKT-residual buckets (a certified solve sits at or below
+#: its ``tol``, 1e-6 by default).
+KKT_RESIDUAL_BUCKETS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 #: Log-spaced condition-number buckets for the solver-input covariance.
 CONDITION_BUCKETS = (10.0, 1e2, 1e3, 1e4, 1e6, 1e8, 1e10)
@@ -110,13 +111,13 @@ class SolverHealthMonitor:
                     buckets=ITERATION_BUCKETS,
                     help="Outer iterations per solver run",
                 ).observe(float(iterations))
-            gap = run.get("duality_gap")
-            if gap is not None:
+            residual = run.get("kkt_residual")
+            if residual is not None:
                 self.registry.histogram(
-                    "solver_duality_gap",
-                    buckets=DUALITY_GAP_BUCKETS,
-                    help="Final duality gap per graphical-lasso run",
-                ).observe(abs(float(gap)))
+                    "solver_kkt_residual",
+                    buckets=KKT_RESIDUAL_BUCKETS,
+                    help="Final KKT residual per graphical-lasso run",
+                ).observe(float(residual))
             condition = run.get("condition_number")
             if condition is not None:
                 self.registry.histogram(

@@ -820,7 +820,8 @@ class DiscoveryService:
              "Flight events evicted from the ring before any dump",
              flight["dropped_total"]),
             ("solver_recent_nonconverged_ratio",
-             "Non-converged fraction of the recent solver-run window",
+             "Uncertified (KKT residual above tol) fraction of the recent "
+             "solver-run window",
              solver["recent_nonconverged_ratio"]),
             ("jobs_quarantined_keys", "Work keys currently refused as quarantined",
              jobs["quarantined_keys"]),

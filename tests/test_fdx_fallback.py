@@ -182,11 +182,13 @@ def ladder_relation():
 
 def test_ladder_stage_seconds_cover_every_rung(ladder_relation):
     """Every rung is staged: the stages account for at least 95% of the
-    wall time measured around the discovery (median of 3)."""
+    wall time measured around the discovery (median of 3). The injected
+    fault fails both glasso rungs, so all three rungs run."""
     shares = []
     for _ in range(3):
         t0 = time.perf_counter()
-        result = FDX(glasso_max_iter=1).discover(ladder_relation)
+        with FaultInjector().inject("glasso.nonconverge", times=None).install():
+            result = FDX(glasso_max_iter=1).discover(ladder_relation)
         wall = time.perf_counter() - t0
         assert len(result.diagnostics["fallback_chain"]) == 3
         shares.append(sum(result.diagnostics["stage_seconds"].values()) / wall)
@@ -197,7 +199,8 @@ def test_ladder_stage_seconds_are_not_below_their_spans(ladder_relation):
     from repro.obs import Tracer
 
     tracer = Tracer(enabled=True)
-    result = FDX(glasso_max_iter=1, tracer=tracer).discover(ladder_relation)
+    with FaultInjector().inject("glasso.nonconverge", times=None).install():
+        result = FDX(glasso_max_iter=1, tracer=tracer).discover(ladder_relation)
     spans = {"covariance": 0.0, "glasso": 0.0, "factorization": 0.0}
     for span in tracer.last_root.walk():
         stage = span.name.removeprefix("structure.")

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from repro.linalg.covariance import is_positive_definite
 from repro.linalg.glasso import (
@@ -14,6 +17,7 @@ def test_zero_penalty_is_matrix_inverse():
     S = np.array([[2.0, 0.5], [0.5, 1.0]])
     res = graphical_lasso(S, 0.0)
     assert np.allclose(res.precision, np.linalg.inv(S), atol=1e-5)
+    assert res.converged and res.kkt_residual <= 1e-6
 
 
 def test_penalty_sparsifies_independent_pairs():
@@ -65,6 +69,8 @@ def test_trivial_sizes():
     assert empty.precision.shape == (0, 0)
     single = graphical_lasso(np.array([[2.0]]), 0.5)
     assert single.precision[0, 0] == pytest.approx(1.0 / 2.5)
+    for fit in (empty, single):
+        assert fit.converged and 0.0 <= fit.kkt_residual <= 1e-6
 
 
 def test_rejects_negative_penalty_and_nonsquare():
@@ -125,3 +131,89 @@ def test_degenerate_warm_start_falls_back_to_cold():
     for theta0 in (bad, np.eye(3)):
         result = graphical_lasso(S, 0.1, Theta0=theta0)
         assert np.allclose(result.precision, cold.precision, atol=1e-6)
+
+
+# --- the KKT certificate and oracle properties (hypothesis) -----------------
+
+
+def shrunk_correlation(p, seed):
+    """A random sparse-dependency correlation matrix, shrunk toward I."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p + 2, 4 * p + 10))
+    coupling = rng.normal(size=(p, p))
+    mix = np.eye(p) + coupling * (rng.random((p, p)) < rng.uniform(0.05, 0.5))
+    R = np.corrcoef(rng.normal(size=(n, p)) @ mix, rowvar=False)
+    alpha = rng.uniform(0.01, 0.3)
+    return (1.0 - alpha) * R + alpha * np.eye(p)
+
+
+def kkt_residual(S, precision, lam):
+    """The graphical-lasso KKT residual, entry by entry from inv(precision)."""
+    W = np.linalg.inv(precision)
+    residual = 0.0
+    for i in range(len(S)):
+        for j in range(len(S)):
+            gap = W[i, j] - S[i, j]
+            if precision[i, j] != 0.0:
+                residual = max(residual, abs(gap - lam * np.sign(precision[i, j])))
+            else:
+                residual = max(residual, abs(gap) - lam)
+    return residual
+
+
+def test_iteration_cap_leaves_the_solve_uncertified():
+    S = shrunk_correlation(12, seed=0)
+    capped = graphical_lasso(S, 0.01, max_iter=1)
+    assert capped.n_iter == 1
+    assert not capped.converged
+    assert capped.kkt_residual > 1e-6
+
+
+sizes = st.integers(2, 30)
+seeds = st.integers(0, 2**32 - 1)
+penalties = st.floats(np.log(0.003), np.log(0.6)).map(np.exp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=sizes, seed=seeds, lam=penalties)
+# Stopping on the mean |dW| instead of the KKT residual left a residual
+# of 3.2e-4 here and missed an edge of the tight solve.
+@example(p=19, seed=3474491523, lam=0.009173124085227703)
+def test_certified_solve_matches_a_tight_reference(p, seed, lam):
+    S = shrunk_correlation(p, seed)
+    fit = graphical_lasso(S, lam)
+    assert fit.converged
+    assert fit.kkt_residual <= 1e-6
+    assert fit.kkt_residual == pytest.approx(
+        kkt_residual(S, fit.precision, lam), abs=1e-12
+    )
+    reference = graphical_lasso(S, lam, tol=1e-12, max_iter=500)
+    assert np.array_equal(fit.support, reference.support)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=sizes, seed=seeds, lam=penalties)
+def test_screen_components_are_the_solution_blocks(p, seed, lam):
+    S = shrunk_correlation(p, seed)
+    fit = graphical_lasso(S, lam)
+    n_components, screen = connected_components(np.abs(S) > lam, directed=False)
+    across = screen[:, None] != screen[None, :]
+    assert np.all(fit.precision[across] == 0.0)
+    _, solved = connected_components(fit.support, directed=False)
+    assert np.array_equal(solved[:, None] == solved[None, :], ~across)
+    for component in range(n_components):
+        members = np.flatnonzero(screen == component)
+        if members.size == 1:
+            i = members[0]
+            assert fit.precision[i, i] == pytest.approx(1.0 / (S[i, i] + lam), rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=sizes, seed=seeds, lam=penalties)
+def test_warm_and_cold_solves_share_a_support(p, seed, lam):
+    S = shrunk_correlation(p, seed)
+    previous = graphical_lasso(0.97 * S + 0.03 * np.eye(p), lam)
+    warm = graphical_lasso(S, lam, Theta0=previous.precision)
+    cold = graphical_lasso(S, lam)
+    assert warm.converged and cold.converged
+    assert np.array_equal(warm.support, cold.support)

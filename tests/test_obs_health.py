@@ -12,7 +12,7 @@ def run(
     stage="configured",
     condition_number=10.0,
     iterations=5,
-    duality_gap=1e-7,
+    kkt_residual=1e-7,
     active_set_size=3,
     warm_start=False,
     lam=0.02,
@@ -24,7 +24,7 @@ def run(
         "iterations": iterations,
         "converged": converged,
         "objective": -1.0,
-        "duality_gap": duality_gap,
+        "kkt_residual": kkt_residual,
         "active_set_size": active_set_size,
         "condition_number": condition_number,
         "warm_start": warm_start,
@@ -49,7 +49,7 @@ class TestObserve:
         assert counters["solver_runs_total{estimator=glasso,status=nonconverged}"] == 1
         assert counters["solver_starts_total{mode=cold}"] == 2
         assert {
-            "solver_iterations", "solver_duality_gap",
+            "solver_iterations", "solver_kkt_residual",
             "solver_condition_number", "solver_active_set_size",
         } <= set(snap["histograms"])
         assert dict(events)["solver.nonconverge"]["runs"] == 1
