@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # One-command repo check: byte-compile everything, run the tier-1 suite,
+# the property modules again under hypothesis's randomized profile,
 # the tier-2 observability and chaos smoke tests (real CLI + server
 # subprocesses), the `repro serve` subprocess smoke (scripts/smoke_service.sh),
 # a fast benchmark smoke pass reported against the recorded trajectory
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
 # hash-seed / streaming / flight-recorder end-to-end smokes, a check
-# that the benchmark's span wrappers still reach the pipeline, and short
-# benchmark windows (fixed λ, eBIC and the HTTP service mix) whose every
-# result must pass the benchmark's oracle.
+# that the benchmark's span wrappers still reach the pipeline, the eBIC
+# refit certificate on one discovery, and short benchmark windows (fixed
+# λ, eBIC and the HTTP service mix) whose every result must pass the
+# benchmark's oracle.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -24,6 +26,14 @@ echo "== compileall =="
 
 echo "== tier-1 tests =="
 "$PYTHON" -m pytest -x -q
+
+echo "== hypothesis properties (randomized) =="
+# Tier-1 draws every property's examples from the derandomized default
+# profile (tests/conftest.py), so it cannot fail at random on unchanged
+# code. This step keeps the search going: it reruns the property modules
+# under hypothesis's random search, with a fresh seed each run.
+"$PYTHON" -m pytest -q --hypothesis-profile=randomized \
+    $(grep -l "^from hypothesis" tests/test_*.py)
 
 echo "== tier-2 observability smoke =="
 "$PYTHON" -m pytest -q -m tier2 tests/test_obs_smoke.py
@@ -70,6 +80,31 @@ expected = {
 assert expected <= names, sorted(expected - names)
 print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
       f"{len(recorder.spans)} spans over {len(names)} names")
+PY
+
+echo "== eBIC certificate smoke =="
+# FDX(lam="ebic") scores every grid point at a certified support refit or
+# prunes it by the exact likelihood bound: each λ-path entry must be
+# pruned or certified (refit residual within the refit tolerance), and
+# the selected λ is never a pruned point.
+"$PYTHON" - <<'PY'
+from repro import FDX
+from repro.datagen.synthetic import SyntheticSpec, generate
+from repro.linalg.model_selection import REFIT_TOL
+
+relation = generate(SyntheticSpec(n_tuples=500, n_attributes=40, seed=1000)).relation
+info = FDX(lam="ebic").discover(relation).diagnostics["solver_health"]["lambda"]
+path = info["path"]
+for point in path:
+    assert point["pruned"] or (
+        point["refit_certified"] and point["refit_residual"] <= REFIT_TOL
+    ), point
+assert not path[info["grid_index"]]["pruned"], info
+pruned = sum(point["pruned"] for point in path)
+worst = max(point["refit_residual"] for point in path if not point["pruned"])
+print(f"eBIC certificate smoke OK: lam {info['selected']} selected, {pruned} of "
+      f"{len(path)} grid points pruned, largest refit residual {worst:.1e} "
+      f"<= {REFIT_TOL:g}")
 PY
 
 echo "== perfbench oracle =="

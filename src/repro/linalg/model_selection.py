@@ -5,11 +5,13 @@ this module makes the one remaining knob — the graphical-lasso penalty —
 self-tuning via the extended Bayesian information criterion (eBIC,
 Foygel & Drton 2010):
 
-    eBIC(lam) = -2 n loglik(Theta_lam) + k log n + 4 gamma k log p
+    eBIC(lam) = -2 n loglik(Theta_A) + k log n + 4 gamma k log p
 
-where ``k`` counts the estimated non-zero off-diagonal pairs and ``gamma``
-trades off false edges against missed ones (0 = classic BIC; 0.5 is the
-standard high-dimensional default). ``FDX(lam="ebic")`` uses this.
+where ``A`` is the support (off-diagonal edges) the graphical lasso
+selects at ``lam``, ``Theta_A`` its support-constrained MLE, ``k = |A|``,
+and ``gamma`` trades off false edges against missed ones (0 = classic
+BIC; 0.5 is the standard high-dimensional default). ``FDX(lam="ebic")``
+uses this.
 """
 
 from __future__ import annotations
@@ -31,10 +33,12 @@ class LambdaSelection:
 
     ``best_fit`` is the graphical-lasso solve at ``best_lambda``: the
     model itself, so the selected penalty is never solved twice.
-    ``fits`` carries one plain-value record per grid point — score,
-    active-set size, iterations, convergence, objective, KKT residual —
-    the raw material of the λ-path solver telemetry
-    (``diagnostics["solver_health"]``).
+    ``scores`` and ``fits`` hold one entry per grid point, in grid order;
+    a pruned point scores ``inf``. Each ``fits`` record is plain values —
+    score, active-set size, the grid solve's iterations, convergence,
+    objective and KKT residual, and the refit's ``pruned``,
+    ``refit_residual`` and ``refit_certified`` — the raw material of the
+    λ-path solver telemetry (``diagnostics["solver_health"]``).
     """
 
     best_lambda: float
@@ -52,59 +56,147 @@ def gaussian_loglik(S: np.ndarray, precision: np.ndarray) -> float:
     return float(logdet - np.trace(S @ precision))
 
 
+def _edge_penalty(n_edges: int, n_samples: float, p: int, gamma: float) -> float:
+    """The eBIC's complexity term ``k log n + 4 gamma k log p``."""
+    return n_edges * (np.log(max(n_samples, 2)) + 4.0 * gamma * np.log(max(p, 2)))
+
+
 def ebic_score(
-    S: np.ndarray, precision: np.ndarray, n_samples: int, gamma: float = 0.5
+    S: np.ndarray,
+    precision: np.ndarray,
+    n_edges: int,
+    n_samples: float,
+    gamma: float = 0.5,
 ) -> float:
-    """The eBIC of a precision estimate (lower is better)."""
-    p = S.shape[0]
-    off = np.abs(precision) > 1e-10
-    np.fill_diagonal(off, False)
-    k = int(off.sum()) // 2
+    """The eBIC of a precision estimate with ``n_edges`` off-diagonal
+    edges (lower is better)."""
     loglik = gaussian_loglik(S, precision)
     if not np.isfinite(loglik):
         return np.inf
-    return (
-        -2.0 * n_samples * loglik
-        + k * np.log(max(n_samples, 2))
-        + 4.0 * gamma * k * np.log(max(p, 2))
-    )
+    return -2.0 * n_samples * loglik + _edge_penalty(n_edges, n_samples, S.shape[0], gamma)
+
+
+#: A support refit is certified when its residual, ``max |W - S|`` over
+#: the support (diagonal included) with ``W = Theta^-1``, is at most this.
+REFIT_TOL = 1e-9
+#: Newton steps after which an uncertified refit stops.
+REFIT_MAX_STEPS = 50
+
+
+@dataclass
+class ConstrainedMLE:
+    """A support refit: the Gaussian MLE with ``Theta`` zero off a support,
+    certified when ``residual <= REFIT_TOL``."""
+
+    precision: np.ndarray
+    #: ``max |W - S|`` over the support, diagonal included; ``inf`` when
+    #: ``precision`` could not be inverted.
+    residual: float
+
+
+def _inverse(Theta: np.ndarray) -> np.ndarray | None:
+    """``Theta^-1``, or ``None`` when ``Theta`` is not positive definite."""
+    try:
+        np.linalg.cholesky(Theta)
+    except np.linalg.LinAlgError:
+        return None
+    W = np.linalg.inv(Theta)
+    W += W.T.copy()
+    W *= 0.5
+    return W
+
+
+def _newton_direction(
+    W: np.ndarray, Theta: np.ndarray, R: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The Newton step ``D`` of the support-restricted likelihood and its
+    Newton decrement ``sqrt(<D, W D W>)``.
+
+    Solves ``(W D W)_A = G`` for ``D`` zero off ``A`` by conjugate
+    gradients in the Frobenius inner product, preconditioned by ``R ->
+    (Theta R Theta)_A``, the Hessian's inverse when ``A`` is full. ``R``
+    holds ``G`` on entry and the CG residual on return. CG stops once
+    that residual is ``min(0.5, sqrt|G|) |G|``: an inexact Newton method
+    that still converges superlinearly. It allocates four ``p x p``
+    arrays, so a refit needs less memory than a grid solve.
+    """
+    work = np.empty_like(R)
+
+    def restricted(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``(M X M)_A``, written to ``out``."""
+        np.matmul(M, X, out=work)
+        np.matmul(work, M, out=out)
+        out *= mask
+        return out
+
+    r_norm = float(np.linalg.norm(R))
+    target = min(0.5, np.sqrt(r_norm)) * r_norm
+    D = np.zeros_like(R)
+    Q = restricted(Theta, R, np.empty_like(R))  # the preconditioned residual
+    P = Q.copy()
+    rz = np.vdot(R, Q)
+    for _ in range(int(mask.sum())):
+        restricted(W, P, Q)  # the Hessian applied to P
+        alpha = rz / np.vdot(P, Q)
+        D += np.multiply(P, alpha, out=work)
+        R -= np.multiply(Q, alpha, out=work)
+        if np.linalg.norm(R) <= target:
+            break
+        restricted(Theta, R, Q)
+        rz, rz_old = np.vdot(R, Q), rz
+        P *= rz / rz_old
+        P += Q
+    # The products round asymmetrically; the solution is symmetric, and
+    # projecting onto it keeps every Theta exactly symmetric.
+    np.add(D, D.T, out=work)
+    np.multiply(work, 0.5, out=D)
+    return D, float(np.sqrt(max(np.vdot(D, restricted(W, D, Q)), 0.0)))
 
 
 def constrained_mle(
-    S: np.ndarray, support: np.ndarray, sweeps: int = 25, ridge: float = 1e-8
-) -> np.ndarray:
-    """Gaussian MLE restricted to a given edge support (covariance
-    selection via vertex-wise iterative proportional fitting).
+    S: np.ndarray, support: np.ndarray, Theta0: np.ndarray | None = None
+) -> ConstrainedMLE:
+    """Gaussian MLE restricted to an edge support (Dempster's covariance
+    selection), certified.
 
-    Finds ``W`` with ``W[i, j] = S[i, j]`` on edges/diagonal and
-    ``(W^-1)[i, j] = 0`` off the support, then returns ``W^-1``. Scoring
-    the *refit* (instead of the shrunken lasso estimate) is what makes
-    eBIC comparisons meaningful — penalized likelihoods always favor the
-    smallest penalty.
+    Maximizes ``log det Theta - tr(S Theta)`` over positive-definite
+    ``Theta`` that are exactly zero off ``support`` (its diagonal is always
+    free). At the optimum ``W = Theta^-1`` equals ``S`` on the support, so
+    ``max |W - S|`` there is the certificate, and the solve stops once it
+    is at most :data:`REFIT_TOL`. Scoring the *refit* (instead of the
+    shrunken lasso estimate) is what makes eBIC comparisons meaningful —
+    penalized likelihoods always favor the smallest penalty.
+
+    Damped Newton on the free entries, each step from
+    :func:`_newton_direction`: the step is ``1 / (1 + delta)`` for a
+    Newton decrement ``delta >= 0.25`` and 1 below it, which keeps every
+    iterate positive definite and decreases the (self-concordant)
+    objective without evaluating it (Nesterov & Nemirovski). The solve
+    starts at ``Theta0`` restricted to the support — in
+    :func:`select_lambda_ebic` the graphical-lasso fit that chose it —
+    or at ``diag(1 / S_ii)`` when that is not positive definite.
     """
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
-    W = np.diag(np.diag(S)).astype(float)
-    idx = np.arange(p)
-    for _ in range(sweeps):
-        change = 0.0
-        for j in range(p):
-            neighbors = idx[support[:, j] & (idx != j)]
-            if neighbors.size == 0:
-                continue
-            Wnn = W[np.ix_(neighbors, neighbors)]
-            beta = np.linalg.solve(Wnn + ridge * np.eye(len(neighbors)), S[neighbors, j])
-            w_col = W[:, neighbors] @ beta
-            w_col[j] = S[j, j]
-            change = max(change, float(np.max(np.abs(W[:, j] - w_col))))
-            W[:, j] = w_col
-            W[j, :] = w_col
-        if change < 1e-9:
+    mask = np.asarray(support, dtype=bool) | np.eye(p, dtype=bool)
+    Theta = None if Theta0 is None else np.where(mask, Theta0, 0.0)
+    W = None if Theta is None else _inverse(Theta)
+    if W is None:
+        Theta, W = np.diag(1.0 / np.diag(S)), np.diag(np.diag(S))
+    for step in range(REFIT_MAX_STEPS + 1):
+        G = W - S
+        G *= mask
+        residual = float(max(G.max(), -G.min()))
+        if residual <= REFIT_TOL or step == REFIT_MAX_STEPS:
             break
-    try:
-        return np.linalg.inv(W)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(W)
+        D, decrement = _newton_direction(W, Theta, G, mask)
+        D *= 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
+        Theta += D
+        del W, D, G  # freed first: a refit's peak memory stays below a grid solve's
+        W = _inverse(Theta)
+        if W is None:  # only rounding can leave the Dikin ellipsoid
+            return ConstrainedMLE(Theta, float("inf"))
+    return ConstrainedMLE(Theta, residual if np.isfinite(residual) else float("inf"))
 
 
 def _finite_or_none(value) -> float | None:
@@ -117,7 +209,7 @@ def _finite_or_none(value) -> float | None:
 
 def select_lambda_ebic(
     S: np.ndarray,
-    n_samples: int,
+    n_samples: float,
     grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID,
     gamma: float = 0.5,
     max_iter: int = 100,
@@ -125,11 +217,20 @@ def select_lambda_ebic(
 ) -> LambdaSelection:
     """Pick the graphical-lasso penalty minimizing the *refit* eBIC.
 
-    For each penalty: estimate the support with the graphical lasso,
-    refit the support-constrained MLE, and score that refit — so the
-    criterion compares supports rather than shrinkage levels. Penalties
-    that select an already-seen support reuse its score instead of
-    refitting. The selected penalty's solve comes back as ``best_fit``.
+    Every penalty's graphical lasso chooses a support ``A``; the point
+    scores ``A``'s certified :func:`constrained_mle`, started at that
+    fit, with ``k = |A|`` — so the criterion compares supports rather
+    than shrinkage levels. Penalties that select an already-seen support
+    reuse its score. The selected penalty's solve comes back as
+    ``best_fit``.
+
+    Refits run in order of increasing ``|A|``, and a point is **pruned**
+    (``fits[lam]["pruned"]``, score ``inf``) when its lower bound
+    ``-2n(-log det S - p) + |A|(log n + 4 gamma log p)`` already exceeds
+    the best score so far: no ``Theta`` beats the unconstrained MLE
+    ``S^-1``, so a pruned point cannot win and the selection is the one
+    every refit would give. When ``S`` is not positive definite the
+    bound is ``-inf`` and nothing is pruned.
 
     ``max_iter`` and ``should_abort`` are handed to every grid solve
     (see :func:`repro.linalg.glasso.graphical_lasso`): the outer-iteration
@@ -138,31 +239,50 @@ def select_lambda_ebic(
     """
     if not grid:
         raise ValueError("penalty grid must be non-empty")
+    p = S.shape[0]
     solves: dict[float, GraphicalLassoResult] = {}
-    scores: dict[float, float] = {}
     edges: dict[float, int] = {}
-    fit_records: dict[float, dict] = {}
-    seen_supports: dict[bytes, float] = {}
     for lam in grid:
-        result = graphical_lasso(
+        solves[lam] = graphical_lasso(
             S, lam, max_iter=max_iter, should_abort=should_abort
         )
-        support = result.support | np.eye(S.shape[0], dtype=bool)
+        edges[lam] = int(solves[lam].support.sum()) // 2
+    sign, logdet = np.linalg.slogdet(S)
+    floor = 2.0 * n_samples * (logdet + p) if sign > 0 else -np.inf
+    scores: dict[float, float] = {}
+    residuals: dict[float, float | None] = {}  # None: pruned
+    seen_supports: dict[bytes, tuple[float, float]] = {}
+    best_score = np.inf
+    for lam in sorted(grid, key=lambda lam: (edges[lam], -lam)):
+        support = solves[lam].support
         key = np.packbits(support).tobytes()
         if key not in seen_supports:
-            refit = constrained_mle(S, support)
-            seen_supports[key] = ebic_score(S, refit, n_samples, gamma=gamma)
-        solves[lam] = result
-        scores[lam] = seen_supports[key]
-        edges[lam] = int(result.support.sum()) // 2
-        fit_records[lam] = {
+            bound = floor + _edge_penalty(edges[lam], n_samples, p, gamma)
+            if bound > best_score:
+                scores[lam], residuals[lam] = np.inf, None
+                continue
+            refit = constrained_mle(S, support, solves[lam].precision)
+            seen_supports[key] = (
+                ebic_score(S, refit.precision, edges[lam], n_samples, gamma),
+                refit.residual,
+            )
+        scores[lam], residuals[lam] = seen_supports[key]
+        best_score = min(best_score, scores[lam])
+    scores = {lam: scores[lam] for lam in grid}
+    fit_records = {
+        lam: {
             "score": _finite_or_none(scores[lam]),
             "n_edges": edges[lam],
-            "iterations": int(result.n_iter),
-            "converged": bool(result.converged),
-            "objective": _finite_or_none(result.objective),
-            "kkt_residual": _finite_or_none(result.kkt_residual),
+            "iterations": int(solves[lam].n_iter),
+            "converged": bool(solves[lam].converged),
+            "objective": _finite_or_none(solves[lam].objective),
+            "kkt_residual": _finite_or_none(solves[lam].kkt_residual),
+            "pruned": residuals[lam] is None,
+            "refit_residual": _finite_or_none(residuals[lam]),
+            "refit_certified": residuals[lam] is not None and residuals[lam] <= REFIT_TOL,
         }
+        for lam in grid
+    }
     best = min(scores, key=lambda lam: (scores[lam], lam))
     return LambdaSelection(
         best_lambda=best, best_fit=solves[best], scores=scores, n_edges=edges,

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.linalg.covariance import correlation_from_covariance, empirical_covariance
+from repro.linalg.covariance import (
+    correlation_from_covariance,
+    empirical_covariance,
+    shrunk_covariance,
+)
 from repro.linalg.glasso import graphical_lasso
 from repro.linalg.model_selection import (
     DEFAULT_LAMBDA_GRID,
+    REFIT_TOL,
+    constrained_mle,
     ebic_score,
     gaussian_loglik,
     select_lambda_ebic,
@@ -34,31 +42,93 @@ def test_loglik_rejects_indefinite():
 def test_ebic_penalizes_extra_edges():
     """Compared at their refit MLEs, the true 1-edge support beats the
     saturated model."""
-    from repro.linalg.model_selection import constrained_mle
-
     X = sparse_structure_data()
     S = correlation_from_covariance(empirical_covariance(X))
     n, p = X.shape
     true_support = np.eye(p, dtype=bool)
     true_support[0, 1] = true_support[1, 0] = True
-    sparse = constrained_mle(S, true_support)
+    sparse = constrained_mle(S, true_support).precision
     dense = graphical_lasso(S, 0.0).precision  # saturated MLE
-    assert ebic_score(S, sparse, n) < ebic_score(S, dense, n)
+    assert ebic_score(S, sparse, 1, n) < ebic_score(S, dense, p * (p - 1) // 2, n)
 
 
 def test_constrained_mle_matches_support():
-    from repro.linalg.model_selection import constrained_mle
-
     X = sparse_structure_data()
     S = correlation_from_covariance(empirical_covariance(X))
     support = np.eye(4, dtype=bool)
     support[0, 1] = support[1, 0] = True
-    theta = constrained_mle(S, support)
+    refit = constrained_mle(S, support)
+    theta = refit.precision
     # Zero off the support; matches S on the support (covariance selection).
-    assert abs(theta[2, 3]) < 1e-6
+    assert theta[2, 3] == 0.0 and theta[0, 2] == 0.0
+    assert refit.residual <= REFIT_TOL
     W = np.linalg.inv(theta)
-    assert W[0, 1] == pytest.approx(S[0, 1], abs=1e-6)
-    assert W[0, 0] == pytest.approx(S[0, 0], abs=1e-6)
+    assert W[0, 1] == pytest.approx(S[0, 1], abs=1e-9)
+    assert W[0, 0] == pytest.approx(S[0, 0], abs=1e-9)
+
+
+@st.composite
+def shrunk_correlations(draw):
+    """A standardised, shrunk sample correlation matrix, as the eBIC grid
+    sees it, of data in which some columns lean on earlier ones."""
+    p = draw(st.integers(2, 12))
+    n = draw(st.integers(20, 400))
+    shrinkage = draw(st.sampled_from([0.01, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    for j in range(1, p):
+        if rng.random() < 0.5:
+            X[:, j] += rng.normal(0.0, 2.0) * X[:, rng.integers(j)]
+    return shrunk_covariance(correlation_from_covariance(empirical_covariance(X)), shrinkage)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shrunk_correlations(), st.sampled_from(DEFAULT_LAMBDA_GRID), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_certified_refit_matches_S_on_its_support_and_is_zero_off_it(
+    S, lam, from_grid_fit, seed
+):
+    """The refit's certificate: ``W = Theta^-1`` equals ``S`` to within
+    ``REFIT_TOL`` on the support (diagonal included), and ``Theta`` is
+    exactly zero off it — for a grid fit's support started at that fit,
+    and for a random support started cold."""
+    p = S.shape[0]
+    if from_grid_fit:
+        fit = graphical_lasso(S, lam)
+        support, Theta0 = fit.support, fit.precision
+    else:
+        upper = np.triu(np.random.default_rng(seed).random((p, p)) < 0.4, 1)
+        support, Theta0 = upper | upper.T, None
+    refit = constrained_mle(S, support, Theta0)
+    mask = support | np.eye(p, dtype=bool)
+    assert refit.residual <= REFIT_TOL
+    W = np.linalg.inv(refit.precision)
+    assert np.abs(W - S)[mask].max() <= REFIT_TOL
+    assert not refit.precision[~mask].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(shrunk_correlations(), st.sampled_from([100, 2_000, 20_000]))
+def test_pruned_selection_equals_the_unpruned_one(S, n_samples):
+    """Skipping the refits whose likelihood bound cannot win changes
+    nothing: every grid point refit and scored picks the same λ, and each
+    pruned point really scores worse than the selected one."""
+    selection = select_lambda_ebic(S, n_samples)
+    scores, seen = {}, {}
+    for lam in DEFAULT_LAMBDA_GRID:
+        fit = graphical_lasso(S, lam)
+        key = fit.support.tobytes()
+        if key not in seen:
+            refit = constrained_mle(S, fit.support, fit.precision)
+            seen[key] = ebic_score(S, refit.precision, int(fit.support.sum()) // 2, n_samples)
+        scores[lam] = seen[key]
+    best = min(scores, key=lambda lam: (scores[lam], lam))
+    assert selection.best_lambda == best
+    for lam, record in selection.fits.items():
+        if record["pruned"]:
+            assert selection.scores[lam] == np.inf and scores[lam] > scores[best]
+        else:
+            assert selection.scores[lam] == pytest.approx(scores[lam], rel=1e-9)
 
 
 def test_selection_recovers_true_edge_only():
@@ -82,6 +152,17 @@ def test_selection_returns_full_diagnostics():
     assert sel.n_edges[0.01] >= sel.n_edges[0.1]
 
 
+def test_nothing_is_pruned_when_S_is_singular():
+    """Without a positive-definite ``S`` there is no likelihood bound, so
+    every point is refit; supports whose MLE does not exist (the edge
+    between two copies of a column) report an uncertified refit."""
+    X = sparse_structure_data(500)
+    S = correlation_from_covariance(empirical_covariance(np.column_stack([X, X[:, 0]])))
+    sel = select_lambda_ebic(S, n_samples=500)
+    assert not any(record["pruned"] for record in sel.fits.values())
+    assert not all(record["refit_certified"] for record in sel.fits.values())
+
+
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
         select_lambda_ebic(np.eye(2), 100, grid=())
@@ -103,6 +184,24 @@ def test_fdx_ebic_mode():
     rel = Relation.from_rows(["a", "b", "c"], rows)
     result = FDX(lam="ebic").discover(rel)
     assert FD(["a"], "b") in result.fds
+
+
+def test_ebic_path_is_certified_or_pruned(ebic_relation):
+    """Every grid point of a discovery's λ path is either pruned or scored
+    at a certified refit, and the selected point is never pruned."""
+    from repro import FDX
+
+    result = FDX(lam="ebic").discover(ebic_relation)
+    info = result.diagnostics["solver_health"]["lambda"]
+    path = info["path"]
+    assert any(point["pruned"] for point in path)
+    for point in path:
+        if point["pruned"]:
+            assert point["score"] is None and point["refit_residual"] is None
+            assert point["refit_certified"] is False
+        else:
+            assert point["refit_certified"] and point["refit_residual"] <= REFIT_TOL
+    assert not path[info["grid_index"]]["pruned"]
 
 
 def test_unknown_penalty_rule_rejected():

@@ -247,3 +247,67 @@ def test_relation_csv_roundtrip(rows):
     back = read_csv_text(to_csv_text(rel))
     assert back.n_rows == rel.n_rows
     assert [str(v) for v in back.column("a")] == [str(v) for v in rel.column("a")]
+
+
+# --- the FDX pipeline -------------------------------------------------------
+
+
+@st.composite
+def noisy_fd_relations(draw):
+    """A small relation in which each later column is, with probability
+    one half, a noisy function of one earlier column."""
+    p = draw(st.integers(3, 6))
+    n = draw(st.integers(80, 240))
+    noise = draw(st.sampled_from([0.0, 0.02, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [rng.integers(0, 12, size=n)]
+    for j in range(1, p):
+        if rng.random() < 0.5:
+            column = (columns[rng.integers(j)] * 7 + 3) % rng.integers(2, 9)
+        else:
+            column = rng.integers(0, 8, size=n)
+        flip = rng.random(n) < noise
+        columns.append(np.where(flip, rng.integers(0, 8, size=n), column))
+    names = [f"c{j}" for j in range(p)]
+    return Relation.from_rows(names, list(zip(*(col.tolist() for col in columns))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    noisy_fd_relations(),
+    st.sampled_from([0.02, 0.08, "ebic"]),
+    st.sampled_from(["natural", "amd", "mindegree"]),
+    st.floats(0.01, 0.3),
+)
+def test_discovery_invariants(relation, lam, ordering, sparsity):
+    """Algorithm 3's invariants on the discovered model: ``B`` is strictly
+    upper-triangular in the permuted order, every FD's LHS precedes its
+    RHS there, and the evidence ledger's margins are measured against
+    ``sparsity`` from ``B`` itself."""
+    from repro.core.fdx import FDX
+
+    result = FDX(lam=lam, ordering=ordering, sparsity=sparsity).discover(relation)
+    names = relation.schema.names
+    position = {name: k for k, name in enumerate(result.attribute_order)}
+    order = [names.index(name) for name in result.attribute_order]
+    B = result.autoregression
+    assert not np.tril(B[np.ix_(order, order)]).any()
+    for fd in result.fds:
+        assert all(position[a] < position[fd.rhs] for a in fd.lhs)
+
+    def weight(lhs, rhs):
+        return abs(B[names.index(lhs), names.index(rhs)])
+
+    evidence = result.diagnostics["evidence"]
+    assert [(sorted(r["lhs"]), r["rhs"]) for r in evidence["records"]] == [
+        (sorted(fd.lhs), fd.rhs) for fd in result.fds
+    ]
+    for record in evidence["records"]:
+        margin = min(weight(a, record["rhs"]) for a in record["lhs"]) - sparsity
+        assert record["margin"] == pytest.approx(margin, abs=1e-12)
+        assert record["margin"] > 0
+    for miss in evidence["near_misses"]:
+        assert miss["margin"] == pytest.approx(
+            sparsity - weight(miss["attribute"], miss["rhs"]), abs=1e-12
+        )
+        assert miss["margin"] >= 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.partitions import Partition, column_codes, fd_error_g3
 from repro.pgm.repository import (
     BENCHMARK_NETWORKS,
     alarm,
@@ -91,3 +92,27 @@ def test_samples_functionally_consistent_at_high_determinism():
             violations += 1
         mapping.setdefault(key, value)
     assert violations / rel.n_rows < 0.02
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_NETWORKS))
+def test_deterministic_networks_plant_exact_fds(name):
+    """An oracle for ``true_fds`` that does not involve FDX: built with
+    ``determinism=1.0``, every non-root node is a function of its parents,
+    so TANE's g3 error of ``parents -> node`` is 0 on samples (the
+    group-by check, vectorized over stripped partitions). The default
+    determinism leaves some of them violated, so the check can fail."""
+    exact = load_network(name, seed=0, determinism=1.0)
+    relation = exact.sample(2000, np.random.default_rng(1))
+    fds = exact.true_fds()
+    assert sorted(fd.rhs for fd in fds) == sorted(
+        node for node in relation.schema.names if exact.parents(node)
+    )
+    for fd in fds:
+        partition = Partition.for_attributes(relation, fd.lhs)
+        assert fd_error_g3(partition, column_codes(relation, fd.rhs)) == 0.0, fd
+
+    noisy = load_network(name, seed=0).sample(2000, np.random.default_rng(1))
+    assert any(
+        fd_error_g3(Partition.for_attributes(noisy, fd.lhs), column_codes(noisy, fd.rhs)) > 0
+        for fd in fds
+    )
