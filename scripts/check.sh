@@ -7,10 +7,11 @@
 # (report-only: timings on shared CI hosts are too noisy to hard-gate
 # here; `python -m repro bench` without --report-only gates), and the
 # hash-seed / streaming / flight-recorder end-to-end smokes, a check
-# that the benchmark's span wrappers still reach the pipeline, the eBIC
-# refit certificate on one discovery, and short benchmark windows (fixed
-# λ, eBIC and the HTTP service mix) whose every result must pass the
-# benchmark's oracle.
+# that the benchmark's span wrappers still reach the pipeline, the
+# graphical-lasso certificate at the paper's widest Figure-6 shape, the
+# eBIC grid and refit certificates on one discovery, and short benchmark
+# windows (fixed λ, eBIC and the HTTP service mix) whose every result must
+# pass the benchmark's oracle.
 # Usable standalone and in CI:
 #
 #   bash scripts/check.sh
@@ -82,11 +83,33 @@ print(f"perfbench wiring smoke OK: {len(tracing.TARGETS)} targets resolve, "
       f"{len(recorder.spans)} spans over {len(names)} names")
 PY
 
+echo "== graphical-lasso certificate =="
+# One discovery at the paper's widest Figure-6 shape, 500 x 190 at λ 0.02:
+# the configured rung must certify (KKT residual within 1e-6) in at most
+# 30 Newton steps, without a fallback.
+"$PYTHON" - <<'PY'
+from repro import FDX
+from repro.datagen.synthetic import SyntheticSpec, generate
+
+spec = SyntheticSpec(n_tuples=500, n_attributes=190, domain_low=64, domain_high=216,
+                     noise_rate=0.01, seed=1000)
+diagnostics = FDX(lam=0.02).discover(generate(spec).relation).diagnostics
+run = diagnostics["solver_health"]["runs"][0]
+assert run["stage"] == "configured", run
+assert run["converged"] and run["kkt_residual"] <= 1e-6, run
+assert not diagnostics["degraded"] and len(diagnostics["fallback_chain"]) == 1, \
+    diagnostics["fallback_chain"]
+assert run["iterations"] <= 30, run
+print(f"graphical-lasso certificate OK: 500 x 190 at lam 0.02 certified in "
+      f"{run['iterations']} Newton steps, KKT residual {run['kkt_residual']:.1e}")
+PY
+
 echo "== eBIC certificate smoke =="
-# FDX(lam="ebic") scores every grid point at a certified support refit or
-# prunes it by the exact likelihood bound: each λ-path entry must be
-# pruned or certified (refit residual within the refit tolerance), and
-# the selected λ is never a pruned point.
+# FDX(lam="ebic") solves every grid point to a certified graphical lasso,
+# and scores it at a certified support refit or prunes it by the exact
+# likelihood bound: each λ-path entry's grid solve must be converged and
+# the entry pruned or certified (refit residual within the refit
+# tolerance), and the selected λ is never a pruned point.
 "$PYTHON" - <<'PY'
 from repro import FDX
 from repro.datagen.synthetic import SyntheticSpec, generate
@@ -96,6 +119,7 @@ relation = generate(SyntheticSpec(n_tuples=500, n_attributes=40, seed=1000)).rel
 info = FDX(lam="ebic").discover(relation).diagnostics["solver_health"]["lambda"]
 path = info["path"]
 for point in path:
+    assert point["converged"], point
     assert point["pruned"] or (
         point["refit_certified"] and point["refit_residual"] <= REFIT_TOL
     ), point

@@ -99,8 +99,8 @@ def discover_from_stats(
     as they are, and the batch result path assembles the result.
     ``warm_start`` (a previous solve's precision matrix) threads through
     to the graphical lasso's ``Theta0`` initialization — on a refresh
-    whose statistics moved only slightly, the solver converges in one or
-    two outer sweeps instead of re-deriving the structure cold. An eBIC
+    whose statistics moved only slightly, the solver converges in two or
+    three Newton steps instead of re-deriving the structure cold. An eBIC
     solve ignores it (its λ grid solves cold), and
     ``diagnostics["warm_start"]`` says which start the solve used.
     """

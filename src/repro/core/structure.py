@@ -148,7 +148,7 @@ def learn_structure(
         Optional previous precision matrix handed to the graphical lasso
         as its ``Theta0`` initialization (streaming refreshes re-solve
         nearly identical covariances; starting at the previous solution
-        cuts the outer sweeps to one or two). Only the ``"glasso"``
+        cuts the Newton steps to two or three). Only the ``"glasso"``
         estimator at a fixed ``lam`` uses it (the eBIC grid solves cold);
         the estimate is unchanged within solver tolerance.
 

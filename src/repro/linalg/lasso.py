@@ -3,8 +3,9 @@
 Two entry points:
 
 * :func:`lasso_coordinate_descent` — the generic quadratic lasso
-  ``min_b 0.5 b' Q b - c' b + lam * ||b||_1`` used inside the graphical
-  lasso's per-column subproblem (Friedman, Hastie & Tibshirani 2008).
+  ``min_b 0.5 b' Q b - c' b + lam * ||b||_1`` that neighborhood selection
+  (:mod:`repro.linalg.neighborhood`, the last solver rung of FDX's
+  fallback ladder) solves for every variable.
 * :func:`lasso_regression` — plain ``min_b 0.5/n ||y - X b||^2 + lam ||b||_1``
   convenience wrapper used by neighborhood-selection utilities and tests.
 """
@@ -34,8 +35,7 @@ def lasso_coordinate_descent(
     """Solve ``min_b 0.5 b'Qb - c'b + lam ||b||_1`` by coordinate descent.
 
     ``Q`` must be symmetric positive semi-definite with strictly positive
-    diagonal. Warm-starting via ``beta0`` makes the graphical lasso's outer
-    loop converge in a handful of sweeps.
+    diagonal. ``beta0`` is an optional warm start.
 
     Sweeps only have to find the signed support. A sign pattern that
     ``beta0`` already has, or that a sweep leaves unchanged, is finished

@@ -21,7 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .glasso import GraphicalLassoResult, graphical_lasso
+from .glasso import (
+    GraphicalLassoResult,
+    _inverse,
+    _logdet,
+    _newton_direction,
+    graphical_lasso,
+)
 
 #: Default penalty grid searched by :func:`select_lambda_ebic`.
 DEFAULT_LAMBDA_GRID = (0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32)
@@ -94,65 +100,6 @@ class ConstrainedMLE:
     residual: float
 
 
-def _inverse(Theta: np.ndarray) -> np.ndarray | None:
-    """``Theta^-1``, or ``None`` when ``Theta`` is not positive definite."""
-    try:
-        np.linalg.cholesky(Theta)
-    except np.linalg.LinAlgError:
-        return None
-    W = np.linalg.inv(Theta)
-    W += W.T.copy()
-    W *= 0.5
-    return W
-
-
-def _newton_direction(
-    W: np.ndarray, Theta: np.ndarray, R: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """The Newton step ``D`` of the support-restricted likelihood and its
-    Newton decrement ``sqrt(<D, W D W>)``.
-
-    Solves ``(W D W)_A = G`` for ``D`` zero off ``A`` by conjugate
-    gradients in the Frobenius inner product, preconditioned by ``R ->
-    (Theta R Theta)_A``, the Hessian's inverse when ``A`` is full. ``R``
-    holds ``G`` on entry and the CG residual on return. CG stops once
-    that residual is ``min(0.5, sqrt|G|) |G|``: an inexact Newton method
-    that still converges superlinearly. It allocates four ``p x p``
-    arrays, so a refit needs less memory than a grid solve.
-    """
-    work = np.empty_like(R)
-
-    def restricted(M: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``(M X M)_A``, written to ``out``."""
-        np.matmul(M, X, out=work)
-        np.matmul(work, M, out=out)
-        out *= mask
-        return out
-
-    r_norm = float(np.linalg.norm(R))
-    target = min(0.5, np.sqrt(r_norm)) * r_norm
-    D = np.zeros_like(R)
-    Q = restricted(Theta, R, np.empty_like(R))  # the preconditioned residual
-    P = Q.copy()
-    rz = np.vdot(R, Q)
-    for _ in range(int(mask.sum())):
-        restricted(W, P, Q)  # the Hessian applied to P
-        alpha = rz / np.vdot(P, Q)
-        D += np.multiply(P, alpha, out=work)
-        R -= np.multiply(Q, alpha, out=work)
-        if np.linalg.norm(R) <= target:
-            break
-        restricted(Theta, R, Q)
-        rz, rz_old = np.vdot(R, Q), rz
-        P *= rz / rz_old
-        P += Q
-    # The products round asymmetrically; the solution is symmetric, and
-    # projecting onto it keeps every Theta exactly symmetric.
-    np.add(D, D.T, out=work)
-    np.multiply(work, 0.5, out=D)
-    return D, float(np.sqrt(max(np.vdot(D, restricted(W, D, Q)), 0.0)))
-
-
 def constrained_mle(
     S: np.ndarray, support: np.ndarray, Theta0: np.ndarray | None = None
 ) -> ConstrainedMLE:
@@ -167,21 +114,32 @@ def constrained_mle(
     shrunken lasso estimate) is what makes eBIC comparisons meaningful —
     penalized likelihoods always favor the smallest penalty.
 
-    Damped Newton on the free entries, each step from
-    :func:`_newton_direction`: the step is ``1 / (1 + delta)`` for a
-    Newton decrement ``delta >= 0.25`` and 1 below it, which keeps every
-    iterate positive definite and decreases the (self-concordant)
-    objective without evaluating it (Nesterov & Nemirovski). The solve
-    starts at ``Theta0`` restricted to the support — in
-    :func:`select_lambda_ebic` the graphical-lasso fit that chose it —
-    or at ``diag(1 / S_ii)`` when that is not positive definite.
+    An attribute with no edge in the support has the exact refit
+    ``Theta_ii = 1 / S_ii``; the others are solved on their sub-matrix, as
+    :func:`repro.linalg.glasso.graphical_lasso` solves only the
+    attributes it cannot close. Damped Newton on the free entries, each
+    step from :func:`repro.linalg.glasso._newton_direction`: the step is
+    ``1 / (1 + delta)`` for a Newton decrement ``delta >= 0.25`` and 1
+    below it, which keeps every iterate positive definite and decreases
+    the (self-concordant) objective without evaluating it (Nesterov &
+    Nemirovski). The solve starts at ``Theta0`` restricted to the support
+    — in :func:`select_lambda_ebic` the graphical-lasso fit that chose it
+    — or at ``diag(1 / S_ii)`` when that is not positive definite.
     """
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
-    mask = np.asarray(support, dtype=bool) | np.eye(p, dtype=bool)
-    Theta = None if Theta0 is None else np.where(mask, Theta0, 0.0)
-    W = None if Theta is None else _inverse(Theta)
-    if W is None:
+    edges = np.asarray(support, dtype=bool) & ~np.eye(p, dtype=bool)
+    touched = np.flatnonzero(edges.any(axis=0))
+    precision = np.diag(1.0 / np.diag(S))
+    if not touched.size:
+        return ConstrainedMLE(precision, 0.0)
+    sub = np.ix_(touched, touched)
+    S = S[sub]
+    mask = edges[sub] | np.eye(touched.size, dtype=bool)
+    Theta = None if Theta0 is None else np.where(mask, np.asarray(Theta0)[sub], 0.0)
+    if Theta is not None and _logdet(Theta) is not None:
+        W = _inverse(Theta)
+    else:
         Theta, W = np.diag(1.0 / np.diag(S)), np.diag(np.diag(S))
     for step in range(REFIT_MAX_STEPS + 1):
         G = W - S
@@ -189,14 +147,17 @@ def constrained_mle(
         residual = float(max(G.max(), -G.min()))
         if residual <= REFIT_TOL or step == REFIT_MAX_STEPS:
             break
-        D, decrement = _newton_direction(W, Theta, G, mask)
+        D = _newton_direction(W, Theta, G, mask)
+        decrement = np.sqrt(max(float(np.vdot(D, W @ D @ W)), 0.0))
         D *= 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
         Theta += D
         del W, D, G  # freed first: a refit's peak memory stays below a grid solve's
+        if _logdet(Theta) is None:  # only rounding can leave the Dikin ellipsoid
+            residual = float("inf")
+            break
         W = _inverse(Theta)
-        if W is None:  # only rounding can leave the Dikin ellipsoid
-            return ConstrainedMLE(Theta, float("inf"))
-    return ConstrainedMLE(Theta, residual if np.isfinite(residual) else float("inf"))
+    precision[sub] = Theta
+    return ConstrainedMLE(precision, residual if np.isfinite(residual) else float("inf"))
 
 
 def _finite_or_none(value) -> float | None:

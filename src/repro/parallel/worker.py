@@ -35,6 +35,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import threading
 import time
 from typing import Any, Callable, Mapping, Sequence
@@ -95,6 +96,10 @@ def _child_main(fn: Callable[..., Any], args: tuple, kwargs: dict,
     """
     if faults.fires("parallel.worker_crash"):
         os._exit(3)  # simulate an abrupt death (OOM kill / segfault)
+    # A forked worker inherits its parent's handlers, and `repro serve`
+    # turns SIGTERM into a clean shutdown; here SIGTERM must end the
+    # worker at once, as the teardown's second step expects.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     token = CancelToken()
     set_current_cancel_token(token)
     if heartbeat_cell is not None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
 import sys
 import threading
 import time
@@ -1231,7 +1232,9 @@ def serve(
     quiet: bool = False,
     **service_kwargs,
 ) -> int:
-    """Blocking entry point used by ``python -m repro serve``."""
+    """Blocking entry point used by ``python -m repro serve``; SIGINT or
+    SIGTERM shuts the server down and returns 0. Call it from the main
+    thread (it installs the signal handlers)."""
     try:
         server, service = build_server(
             host=host, port=port, workers=workers, quiet=quiet, **service_kwargs
@@ -1239,12 +1242,22 @@ def serve(
     except OSError as exc:
         print(f"cannot bind {host}:{port}: {exc}", file=sys.stderr)
         return 1
+
+    def stop(signum, frame):
+        raise KeyboardInterrupt  # ends serve_forever through the finally below
+
+    # Both signals stop the server cleanly, even where SIGINT was inherited
+    # ignored (a background job of a non-interactive shell). They are
+    # handled before the address is printed, so a caller may signal as soon
+    # as it reads it.
+    signal.signal(signal.SIGINT, stop)
+    signal.signal(signal.SIGTERM, stop)
     actual = server.server_address
     print(f"repro-fdx service v{__version__} listening on http://{actual[0]}:{actual[1]} "
           f"({workers} {service_kwargs.get('executor', 'thread')} workers)")
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
+    except KeyboardInterrupt:
         print("shutting down")
     finally:
         server.server_close()

@@ -14,7 +14,7 @@ Two knobs keep refreshes cheap:
   one (clients can always ``force`` past the debounce).
 * Warm starts — the previous refresh's precision matrix is threaded into
   the solver as its ``Theta0`` initialization, so a refresh whose
-  statistics barely moved converges in one or two outer sweeps. Only a
+  statistics barely moved converges in two or three Newton steps. Only a
   fixed λ solves warm: an eBIC session's λ grid solves cold.
 """
 

@@ -4,6 +4,7 @@
 """
 
 import os
+import signal
 
 import pytest
 
@@ -21,6 +22,10 @@ def _die(x):
     os._exit(3)
 
 
+def _sigterm_is_default():
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
 # -- crash --------------------------------------------------------------------
 
 def test_process_worker_death_surfaces_as_worker_crash_error():
@@ -36,3 +41,15 @@ def test_worker_crash_error_is_a_repro_error():
 
     assert issubclass(WorkerCrashError, ReproError)
     assert issubclass(TaskTimeoutError, TimeoutError)
+
+
+# -- signals --------------------------------------------------------------------
+
+def test_worker_ends_on_sigterm_under_a_parent_handler():
+    """`repro serve` handles SIGTERM as a clean shutdown; a forked worker
+    inherits that handler but must still die on the teardown's SIGTERM."""
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+    try:
+        assert run_in_process(_sigterm_is_default) is True
+    finally:
+        signal.signal(signal.SIGTERM, previous)
