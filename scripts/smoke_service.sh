@@ -3,7 +3,10 @@
 # runs one discover round trip and one streaming-session round trip via
 # the Python client, checks the cache hit shows up in /v1/metrics, sends
 # malformed bodies over a raw socket (each must get a 400, an oversized
-# Content-Length a 413, and the server must stay healthy), and exits nonzero on any failure. Invoked by
+# Content-Length a 413, and the server must stay healthy; the bodies
+# include relations with an array cell, a non-list column, and a
+# non-numeric value in a numeric column of a session's first batch),
+# and exits nonzero on any failure. Invoked by
 # scripts/check.sh and the tier-2 pytest marker
 # (tests/test_service_smoke.py), and usable standalone:
 #
@@ -62,12 +65,13 @@ assert FD(["a0"], "a1") in set(session_result.fds), session_result.fds
 client.close_session(session)
 
 # Malformed bodies over a raw socket: a typed 4xx, never a 500.
+import json
 import socket
 
 
-def raw_status(head: bytes, body: bytes) -> int:
+def raw_status(head: bytes, body: bytes, path: str = "/v1/discover") -> int:
     with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
-        sock.sendall(b"POST /v1/discover HTTP/1.1\r\nHost: smoke\r\n"
+        sock.sendall(b"POST " + path.encode() + b" HTTP/1.1\r\nHost: smoke\r\n"
                      b"Connection: close\r\n" + head + b"\r\n" + body)
         reply = b""
         while b"\r\n" not in reply:
@@ -83,6 +87,26 @@ assert raw_status(b"Content-Length: abc\r\n", b"{}") == 400
 assert raw_status(b"Content-Length: 10000000000000\r\n", b"{}") == 413
 non_utf8 = b'{"relation": "\xff\xfe"}'
 assert raw_status(b"Content-Length: %d\r\n" % len(non_utf8), non_utf8) == 400
+
+
+def json_status(payload: dict, path: str = "/v1/discover") -> int:
+    body = json.dumps(payload).encode()
+    return raw_status(b"Content-Length: %d\r\n" % len(body), body, path)
+
+
+# Relations whose cells or containers the pipeline cannot take.
+array_cell = {"attributes": ["a", "b"], "rows": [[i, i % 3] for i in range(60)]}
+array_cell["rows"][0][1] = [1, 2]
+assert json_status({"relation": array_cell}) == 400
+non_list_column = {"attributes": ["a", "b"], "columns": {"a": [1, 2, 3], "b": 5}}
+assert json_status({"relation": non_list_column}) == 400
+# A first batch that is refused must not reach the fresh session's state.
+session = client.create_session()
+non_numeric = {"attributes": ["a", {"name": "b", "dtype": "numeric"}],
+               "rows": [[i, i / 2] for i in range(60)]}
+non_numeric["rows"][5][1] = "abc"
+assert json_status({"relation": non_numeric}, f"/v1/sessions/{session}/batches") == 400
+assert client.session_info(session)["n_rows_seen"] == 0
 assert client.healthz()["status"] == "ok"
 
 print("smoke_service: OK")

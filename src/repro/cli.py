@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=0.05, help="|B| threshold")
     p.add_argument("--ordering", default="natural", help="variable ordering")
     p.add_argument("--max-rows", type=int, default=None,
-                   help="cap rows per attribute in the transform")
+                   help="cap rows per attribute in the transform (at least 2)")
     p.add_argument("--heatmap", action="store_true", help="print |B| heatmap")
     p.add_argument("--explain", action="store_true",
                    help="print the per-FD evidence table (precision entry, "

@@ -23,9 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataset.relation import Relation
+from ..dataset.schema import AttributeType
 from ..errors import (
     DegenerateColumnError,
     EmptyRelationError,
+    InputValidationError,
     InsufficientRowsError,
 )
 from ..obs.explain import build_evidence
@@ -49,6 +51,39 @@ from .transform import center_within_blocks  # noqa: F401
 NUMERICAL_ZERO = 1e-8
 
 
+def check_cell_values(relation: Relation) -> None:
+    """Raise :class:`repro.errors.InputValidationError`, naming the
+    column, for a cell the transform cannot encode: a value that cannot
+    be hashed (a list or a dict), or a numeric column's value that
+    ``float()`` rejects.
+
+    No pass over the cells is added: building the (cached)
+    :meth:`Relation.value_codes` hashes every cell anyway, and ``float()``
+    sees only each numeric column's distinct values.
+    """
+    for attr in relation.schema:
+        try:
+            codes = relation.value_codes(attr.name)
+        except TypeError as exc:
+            raise InputValidationError(
+                f"column {attr.name!r} holds a value that is not a scalar "
+                f"({exc}); cells must be numbers, strings, booleans or null"
+            ) from None
+        if attr.dtype is AttributeType.NUMERIC:
+            # Codes count up in first-seen order (missing is -1), so a value
+            # first appears where its code exceeds every code before it.
+            seen = np.maximum.accumulate(codes)
+            first = np.flatnonzero(codes > np.concatenate(([-1], seen[:-1])))
+            try:
+                # numpy's object-to-float cast calls float() on each value.
+                relation._column_view(attr.name)[first].astype(np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputValidationError(
+                    f"numeric column {attr.name!r} holds a value that does not "
+                    f"convert to a float ({exc})"
+                ) from None
+
+
 def validate_relation(relation: Relation, strict: bool = False) -> list[str]:
     """Pre-math input guard for :meth:`FDX.discover`.
 
@@ -57,7 +92,9 @@ def validate_relation(relation: Relation, strict: bool = False) -> list[str]:
 
     * :class:`repro.errors.EmptyRelationError` — zero rows;
     * :class:`repro.errors.InsufficientRowsError` — one row (the
-      pair-difference transform needs at least one tuple *pair*).
+      pair-difference transform needs at least one tuple *pair*);
+    * :class:`repro.errors.InputValidationError` — a cell the transform
+      cannot encode (:func:`check_cell_values`).
 
     Degenerate-but-processable columns — constant, entirely missing, or
     exact duplicates of an earlier column — are returned as warning
@@ -76,6 +113,7 @@ def validate_relation(relation: Relation, strict: bool = False) -> list[str]:
             "relation has a single row; the pair-difference transform "
             "(paper Algorithm 2) needs at least two rows to form a tuple pair"
         )
+    check_cell_values(relation)
     warnings: list[str] = []
     seen: dict[bytes, str] = {}
     for name in relation.schema.names:
@@ -331,7 +369,8 @@ class FDX:
         Identity shrinkage on the empirical covariance.
     max_rows_per_attribute:
         Optional per-attribute row cap in the transform, the sampling
-        speed-up the paper applies to very tall relations.
+        speed-up the paper applies to very tall relations; at least 2,
+        so that no row is paired with itself.
     transform:
         ``"circular"`` (Algorithm 2, default) or ``"uniform"`` (ablation).
     center_blocks:
@@ -359,10 +398,10 @@ class FDX:
         :class:`repro.errors.DegenerateColumnError` instead of recording
         them as ``diagnostics["input_warnings"]``.
     glasso_max_iter:
-        Outer-iteration cap for every graphical-lasso solve, each point
-        of the eBIC grid included. Lowering it bounds worst-case solve
-        time (the service's latency lever); the fallback ladder absorbs
-        the resulting non-convergence.
+        Cap on the proximal-Newton steps of every graphical-lasso solve,
+        each point of the eBIC grid included. Lowering it bounds
+        worst-case solve time; the fallback ladder absorbs a solve it
+        leaves uncertified.
     evidence:
         Record the per-FD evidence ledger (:mod:`repro.obs.explain`) in
         ``diagnostics["evidence"]``: precision/partial-correlation
@@ -394,6 +433,8 @@ class FDX:
             raise ValueError(f"unknown transform {transform!r}")
         if sparsity < 0:
             raise ValueError("sparsity threshold must be non-negative")
+        if max_rows_per_attribute is not None and max_rows_per_attribute < 2:
+            raise ValueError("max_rows_per_attribute must be None or at least 2")
         if glasso_max_iter < 1:
             raise ValueError("glasso_max_iter must be >= 1")
         self.lam = lam

@@ -39,7 +39,7 @@ from ..obs.profile import StageClock
 from ..obs.trace import Tracer
 # generate_fds is not called here (build_result generates the FDs); it
 # stays importable because perfbench/tracing.py patches it by this name.
-from .fdx import FDXResult, build_result, generate_fds  # noqa: F401
+from .fdx import FDXResult, build_result, check_cell_values, generate_fds  # noqa: F401
 from .structure import learn_structure
 from .transform import pair_difference_transform
 # Not called here (block_centered_scatter centers the blocks from the 0/1
@@ -291,9 +291,15 @@ class IncrementalFDX:
         Returns the batch's own contribution (:class:`BatchUpdate`) when
         the statistics were updated, or ``None`` when the rows were only
         buffered — drift detectors feed their sliding window from these.
+
+        A batch with a cell the transform cannot encode raises
+        :class:`repro.errors.InputValidationError` (:func:`check_cell_values`)
+        before it pins the schema, is buffered or is merged, so it costs
+        the stream no rows.
         """
         if batch.n_rows == 0:
             return None
+        check_cell_values(batch)
         if self._schema is None:
             self._schema = batch.schema
         elif batch.schema != self._schema:

@@ -9,9 +9,8 @@ the strictly-upper autoregression matrix of the linear SEM
 
 ``S`` and its sample count are the whole input (paper Algorithm 1:
 ``Theta = GraphicalLasso(cov(Dt))``): batch discovery estimates it once
-with :func:`sample_covariance`, streaming discovery passes its
-accumulated second moment, and a robust estimator's ``S`` (see
-:mod:`repro.linalg.robust`) is passed the same way.
+with :func:`sample_covariance`, and streaming discovery passes its
+accumulated second moment.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from ..errors import InputValidationError
 from ..linalg.cholesky import OrderedFactorization, factorize_with_order
 from ..linalg.covariance import (
     block_centered_scatter,
+    condition_number_estimate,
     correlation_from_covariance,
+    psd_projection,
     shrunk_covariance,
 )
 # Not called here (sample_covariance reads the 0/1 counts); it stays
@@ -34,7 +35,6 @@ from ..linalg.glasso import graphical_lasso
 from ..linalg.model_selection import _finite_or_none
 from ..linalg.neighborhood import neighborhood_selection
 from ..linalg.ordering import compute_order
-from ..linalg.robust import condition_number_estimate, psd_projection
 from ..obs.profile import StageClock
 from ..resilience import faults
 from ..resilience.cancel import CancelledError, current_cancel_token
@@ -113,8 +113,7 @@ def learn_structure(
     ----------
     S:
         Covariance of the transformed binary sample ``Dt`` — from
-        :func:`sample_covariance`, a stream's accumulated second moment,
-        or a robust estimator of :mod:`repro.linalg.robust`.
+        :func:`sample_covariance` or a stream's accumulated second moment.
     n_samples:
         Number of samples behind ``S`` (a stream's decayed count may be
         fractional); the eBIC penalty rule scores with it.

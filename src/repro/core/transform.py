@@ -211,9 +211,11 @@ def pair_difference_transform(
     n, k = relation.shape
     if n < 2:
         raise ValueError("pair transform requires at least two rows")
+    if max_rows_per_attribute is not None and max_rows_per_attribute < 2:
+        raise ValueError("a per-attribute row cap below 2 pairs rows with themselves")
     rows = rng.permutation(n)
     if max_rows_per_attribute is not None and max_rows_per_attribute < n:
-        rows = rows[:max(max_rows_per_attribute, 0)]
+        rows = rows[:max_rows_per_attribute]
     encoded = _encode(relation, rows, numeric_tolerance, text_jaccard)
     r = rows.size
     out = np.empty((r * k, k), dtype=np.uint8)

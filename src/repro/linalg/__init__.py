@@ -1,13 +1,10 @@
 """Numerical substrate: lasso, covariance estimation, graphical lasso,
 triangular factorizations and fill-reducing orderings (no scikit-learn)."""
 
-from .lasso import lasso_coordinate_descent, lasso_regression, soft_threshold
+from .lasso import lasso_coordinate_descent, soft_threshold
 from .covariance import (
     correlation_from_covariance,
     empirical_covariance,
-    is_positive_definite,
-    ledoit_wolf_shrinkage,
-    pair_difference_covariance,
     shrunk_covariance,
 )
 from .glasso import GraphicalLassoResult, graphical_lasso, precision_to_partial_correlation
@@ -18,11 +15,6 @@ from .model_selection import (
     constrained_mle,
     ebic_score,
     select_lambda_ebic,
-)
-from .robust import (
-    corruption_breakdown_check,
-    spearman_covariance,
-    trimmed_covariance,
 )
 from .cholesky import (
     OrderedFactorization,
@@ -45,22 +37,15 @@ from .ordering import (
 
 __all__ = [
     "lasso_coordinate_descent",
-    "lasso_regression",
     "soft_threshold",
     "correlation_from_covariance",
     "empirical_covariance",
-    "is_positive_definite",
-    "ledoit_wolf_shrinkage",
-    "pair_difference_covariance",
     "shrunk_covariance",
     "DEFAULT_LAMBDA_GRID",
     "LambdaSelection",
     "constrained_mle",
     "ebic_score",
     "select_lambda_ebic",
-    "corruption_breakdown_check",
-    "spearman_covariance",
-    "trimmed_covariance",
     "NeighborhoodResult",
     "neighborhood_selection",
     "GraphicalLassoResult",

@@ -43,8 +43,8 @@ class CovarianceAccumulator:
     Each row chunk reduces to ``(n, Σx, XᵀX)``; partials merge by plain
     addition. Merging is *order-sensitive* (floating-point addition is
     not associative), so callers fold partials in a fixed order — chunk
-    index order in :func:`empirical_covariance_chunked`, arrival order
-    in the streaming drift window and catalog sampling.
+    index order in :func:`empirical_covariance_chunked` and in catalog
+    sampling.
     """
 
     __slots__ = ("n_rows", "col_sum", "second_moment")
@@ -178,57 +178,6 @@ def shrunk_covariance(S: np.ndarray, shrinkage: float = 0.1) -> np.ndarray:
     return (1.0 - shrinkage) * S + shrinkage * mu * np.eye(p)
 
 
-def ledoit_wolf_shrinkage(X: np.ndarray, assume_centered: bool = False) -> float:
-    """Ledoit-Wolf optimal shrinkage intensity for the identity target.
-
-    A from-scratch implementation of the standard plug-in formula; returns
-    a value clipped to ``[0, 1]``.
-    """
-    X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    if n < 2:
-        return 1.0
-    if not assume_centered:
-        X = X - X.mean(axis=0)
-    S = (X.T @ X) / n
-    mu = np.trace(S) / p
-    delta2 = np.sum((S - mu * np.eye(p)) ** 2) / p
-    beta2_sum = 0.0
-    for i in range(n):
-        xi = X[i][:, None]
-        beta2_sum += np.sum((xi @ xi.T - S) ** 2)
-    beta2 = beta2_sum / (n**2 * p)
-    beta2 = min(beta2, delta2)
-    if delta2 == 0:
-        return 0.0
-    return float(np.clip(beta2 / delta2, 0.0, 1.0))
-
-
-def pair_difference_covariance(
-    X: np.ndarray,
-    rng: np.random.Generator,
-    n_pairs: int | None = None,
-) -> np.ndarray:
-    """Covariance of differences of uniformly sampled row pairs.
-
-    For rows ``x_i`` sampled i.i.d., ``x_i - x_j`` has mean exactly zero, so
-    the second-moment matrix ``E[(x_i-x_j)(x_i-x_j)'] = 2 Sigma`` is a
-    mean-free covariance estimate (scaled). This helper returns the
-    *unscaled* covariance estimate (divided by 2) so it is directly
-    comparable to :func:`empirical_covariance`.
-    """
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if n < 2:
-        raise ValueError("need at least two rows to form pairs")
-    if n_pairs is None:
-        n_pairs = n
-    i = rng.integers(n, size=n_pairs)
-    j = rng.integers(n, size=n_pairs)
-    diff = X[i] - X[j]
-    return (diff.T @ diff) / (2.0 * n_pairs)
-
-
 def correlation_from_covariance(S: np.ndarray) -> np.ndarray:
     """Convert a covariance matrix to a correlation matrix.
 
@@ -250,9 +199,40 @@ def correlation_from_covariance(S: np.ndarray) -> np.ndarray:
     return R
 
 
-def is_positive_definite(S: np.ndarray, tol: float = 0.0) -> bool:
-    """True if all eigenvalues of the symmetrized matrix exceed ``tol``."""
+def psd_projection(S: np.ndarray, min_eigenvalue: float = 0.0) -> np.ndarray:
+    """Nearest (Frobenius) PSD matrix: symmetrize, clip eigenvalues.
+
+    With ``min_eigenvalue > 0`` the result is positive *definite* with
+    spectrum bounded below — the reconditioning step of the FDX fallback
+    ladder uses this to repair ill-conditioned or indefinite covariance
+    estimates before retrying the solver.
+    """
     S = np.asarray(S, dtype=float)
-    sym = 0.5 * (S + S.T)
-    eigvals = np.linalg.eigvalsh(sym)
-    return bool(np.all(eigvals > tol))
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("S must be square")
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    return V @ np.diag(np.clip(w, min_eigenvalue, None)) @ V.T
+
+
+def condition_number_estimate(S: np.ndarray) -> float:
+    """Spectral condition-number estimate of a symmetric matrix.
+
+    ``|λ|_max / |λ|_min`` of the symmetrized input — the solver-health
+    telemetry's cheap ill-conditioning probe for the covariance handed to
+    the graphical lasso (O(p³) on the small p×p matrix, negligible next
+    to the solve itself). Returns ``inf`` for a numerically singular
+    input and ``1.0`` for the empty matrix.
+    """
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError("S must be square")
+    if S.size == 0:
+        return 1.0
+    eigenvalues = np.abs(np.linalg.eigvalsh(0.5 * (S + S.T)))
+    largest = float(eigenvalues.max())
+    smallest = float(eigenvalues.min())
+    if largest == 0.0:
+        return 1.0
+    if smallest == 0.0:
+        return float("inf")
+    return largest / smallest

@@ -1,13 +1,11 @@
-"""Coordinate-descent lasso solvers (no scikit-learn).
+"""Coordinate-descent lasso solver (no scikit-learn).
 
-Two entry points:
-
-* :func:`lasso_coordinate_descent` — the generic quadratic lasso
-  ``min_b 0.5 b' Q b - c' b + lam * ||b||_1`` that neighborhood selection
-  (:mod:`repro.linalg.neighborhood`, the last solver rung of FDX's
-  fallback ladder) solves for every variable.
-* :func:`lasso_regression` — plain ``min_b 0.5/n ||y - X b||^2 + lam ||b||_1``
-  convenience wrapper used by neighborhood-selection utilities and tests.
+:func:`lasso_coordinate_descent` solves the quadratic lasso
+``min_b 0.5 b' Q b - c' b + lam * ||b||_1`` that neighborhood selection
+(:mod:`repro.linalg.neighborhood`, the last solver rung of FDX's
+fallback ladder) solves for every variable. A regression
+``min_b 0.5/n ||y - X b||^2 + lam ||b||_1`` is the same problem with
+``Q = X'X/n`` and ``c = X'y/n``.
 """
 
 from __future__ import annotations
@@ -133,23 +131,3 @@ def _exact_step(
     violation[active] = 0.0  # |c - Qt| = lam there by construction
     return target, not np.any(violation > lam)
 
-
-def lasso_regression(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    max_iter: int = 1000,
-    tol: float = 1e-8,
-) -> np.ndarray:
-    """Solve ``min_b 0.5/n ||y - Xb||^2 + lam ||b||_1``.
-
-    Reduces to the quadratic form with ``Q = X'X/n`` and ``c = X'y/n``.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty design matrix")
-    Q = (X.T @ X) / n
-    c = (X.T @ y) / n
-    return lasso_coordinate_descent(Q, c, lam, max_iter=max_iter, tol=tol)

@@ -194,7 +194,7 @@ def select_lambda_ebic(
     bound is ``-inf`` and nothing is pruned.
 
     ``max_iter`` and ``should_abort`` are handed to every grid solve
-    (see :func:`repro.linalg.glasso.graphical_lasso`): the outer-iteration
+    (see :func:`repro.linalg.glasso.graphical_lasso`): the Newton-step
     cap bounds each of them, and the grid beats a watchdog heartbeat and
     stops on cancellation.
     """

@@ -59,7 +59,6 @@ from .registry import (
     MetricsRegistry,
     get_registry,
     percentile,
-    set_global_registry,
 )
 from .sinks import (
     PROMETHEUS_CONTENT_TYPE,
@@ -122,7 +121,6 @@ __all__ = [
     "percentile",
     "read_dump",
     "render_evidence_table",
-    "set_global_registry",
     "render_prometheus",
     "render_tree",
     "reset_trace_id",

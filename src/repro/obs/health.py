@@ -29,7 +29,7 @@ from .registry import MetricsRegistry, get_registry
 
 __all__ = ["SolverHealthMonitor"]
 
-#: Histogram buckets for outer-iteration counts (glasso max_iter is 100).
+#: Histogram buckets for Newton-step counts (glasso max_iter is 100).
 ITERATION_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0)
 
 #: Log-spaced KKT-residual buckets (a certified solve sits at or below
@@ -109,7 +109,8 @@ class SolverHealthMonitor:
                 self.registry.histogram(
                     "solver_iterations",
                     buckets=ITERATION_BUCKETS,
-                    help="Outer iterations per solver run",
+                    help="Proximal-Newton steps per solver run "
+                    "(1 for neighborhood selection)",
                 ).observe(float(iterations))
             residual = run.get("kkt_residual")
             if residual is not None:

@@ -333,11 +333,3 @@ _GLOBAL_REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-global default :class:`MetricsRegistry`."""
     return _GLOBAL_REGISTRY
-
-
-def set_global_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry; returns the previous one."""
-    global _GLOBAL_REGISTRY
-    previous = _GLOBAL_REGISTRY
-    _GLOBAL_REGISTRY = registry
-    return previous

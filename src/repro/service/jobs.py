@@ -13,7 +13,7 @@ host. Each job walks ``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED``:
 * **cancellation** — a queued job is cancelled outright (the executor
   never runs it); a running job is flagged *and* its
   :class:`~repro.resilience.CancelToken` is set, so cooperative
-  pipeline code (stage boundaries, glasso outer iterations) aborts
+  pipeline code (stage boundaries, glasso Newton steps) aborts
   promptly instead of burning the worker to completion. The token is
   installed as the worker thread's contextvar, reaching the pipeline
   with no signature changes.
@@ -712,10 +712,6 @@ class JobManager:
         """Jobs submitted but not yet running."""
         with self._lock:
             return sum(1 for j in self._jobs.values() if j.state == QUEUED)
-
-    def n_running(self) -> int:
-        with self._lock:
-            return sum(1 for j in self._jobs.values() if j.state == RUNNING)
 
     def stats(self) -> dict:
         with self._lock:

@@ -108,6 +108,7 @@ _EXPECTED = {
     "lam": "a non-negative number or 'ebic'",
     "shrinkage": "a number in [0, 1]",
     "ordering": "one of " + ", ".join(sorted(ORDERING_METHODS)),
+    "max_rows_per_attribute": "null or an integer of at least 2",
 }
 
 
@@ -115,8 +116,10 @@ def _check_hyperparameter(name: str, value: Any, annotation: str) -> None:
     """Raise a 400 unless ``value`` fits the field's annotation.
 
     ``bool`` is not a number and numbers must be finite and >= 0;
-    ``lam`` may also be ``"ebic"``, ``shrinkage`` is at most 1, and
-    ``ordering`` must name a heuristic of ``ORDERING_METHODS``.
+    ``lam`` may also be ``"ebic"``, ``shrinkage`` is at most 1,
+    ``max_rows_per_attribute`` is at least 2 (a smaller cap pairs rows
+    with themselves), and ``ordering`` must name a heuristic of
+    ``ORDERING_METHODS``.
     """
     kind = annotation.split(" |")[0]
     if value is None:
@@ -129,6 +132,7 @@ def _check_hyperparameter(name: str, value: Any, annotation: str) -> None:
         ok = (
             isinstance(value, _NUMBER_TYPES[kind]) and not isinstance(value, bool)
             and 0 <= value < math.inf and (name != "shrinkage" or value <= 1)
+            and (name != "max_rows_per_attribute" or value >= 2)
         )
     if not ok:
         expected = _EXPECTED.get(name, f"a non-negative {annotation}")
@@ -183,16 +187,19 @@ def relation_from_wire(payload: Any) -> Relation:
     if columns is not None:
         if not isinstance(columns, Mapping):
             raise ProtocolError("'columns' must map attribute name -> values")
-        lengths = {len(v) for v in columns.values() if isinstance(v, (list, tuple))}
-        n_rows = lengths.pop() if len(lengths) == 1 else None
-        if n_rows is None and columns:
-            raise ProtocolError("ragged or non-list columns")
-        _check_cells(n_rows or 0, len(schema))
+        if not all(isinstance(v, (list, tuple)) for v in columns.values()):
+            raise ProtocolError("every column must be an array of values")
+        lengths = {len(v) for v in columns.values()}
+        if len(lengths) > 1:
+            raise ProtocolError("ragged columns")
+        _check_cells(lengths.pop() if lengths else 0, len(schema))
         try:
             return Relation(schema, columns)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
-    if not isinstance(rows, (list, tuple)):
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
         raise ProtocolError("'rows' must be a list of row arrays")
     _check_cells(len(rows), len(schema))
     try:

@@ -340,12 +340,13 @@ class DiscoveryService:
         iterations = diagnostics.get("glasso_iterations", 0) or 0
         self.registry.counter(
             "fdx_glasso_iterations_total",
-            help="Graphical-lasso outer iterations across all discoveries",
+            help="Graphical-lasso proximal-Newton steps across all discoveries",
         ).inc(int(iterations))
         if not diagnostics.get("glasso_converged", True):
             self.registry.counter(
                 "fdx_glasso_nonconverged_total",
-                help="Discoveries whose graphical lasso hit max_iter",
+                help="Discoveries whose graphical lasso stopped uncertified "
+                "(KKT residual above tol)",
             ).inc()
         self.registry.histogram(
             "fdx_discover_seconds", help="End-to-end FDX discovery latency"

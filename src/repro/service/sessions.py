@@ -35,6 +35,7 @@ import numpy as np
 from ..core.fdx import FDXResult
 from ..core.incremental import IncrementalFDX
 from ..dataset.relation import Relation
+from ..errors import InputValidationError
 from ..obs.explain import annotate_evidence
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
@@ -459,6 +460,8 @@ class SessionManager:
         session = self.get(session_id)
         try:
             info = session.append(batch)
+        except InputValidationError as exc:  # a cell the transform cannot encode
+            raise ProtocolError(str(exc)) from exc
         except ValueError as exc:  # e.g. schema mismatch
             raise ProtocolError(str(exc), status=409) from exc
         self._persist(session)

@@ -6,13 +6,12 @@ structure of recent batches stops matching the long-run (decayed)
 accumulator, the FD set the session reports is going stale.
 
 :class:`DriftDetector` keeps a sliding window of the last ``K`` batch
-contributions (each one a :class:`~repro.linalg.covariance.\
-CovarianceAccumulator` partial — the same mergeable triple the chunked
-covariance estimator folds) and scores the shift as the mean absolute
-difference between the off-diagonal *correlation* entries of the window
-estimate and the baseline estimate. Correlations, not covariances, so
-the score is scale-free and comparable across sessions; off-diagonal
-only, because the diagonal carries no dependency structure.
+contributions (each batch's second moment and sample count, summed in
+window order into the window estimate) and scores the shift as the mean
+absolute difference between the off-diagonal *correlation* entries of
+the window estimate and the baseline estimate. Correlations, not
+covariances, so the score is scale-free and comparable across sessions;
+off-diagonal only, because the diagonal carries no dependency structure.
 
 The score lives in ``[0, 2]`` (practically ``[0, ~0.5]``); ``alert``
 fires when it exceeds the configured threshold *and* both estimates have
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg.covariance import CovarianceAccumulator, correlation_from_covariance
+from ..linalg.covariance import correlation_from_covariance
 
 #: Defaults shared by sessions and the CLI.
 DEFAULT_WINDOW_BATCHES = 8
@@ -102,19 +101,12 @@ class DriftDetector:
         self._window.append((outer.copy(), float(n_samples)))
 
     def _window_covariance(self) -> tuple[np.ndarray | None, float]:
-        """Fold the window into one estimate via CovarianceAccumulator."""
-        if not self._window:
+        """The window's summed second moment over its summed sample
+        count, both added in window order."""
+        n_samples = sum(n for _, n in self._window)
+        if n_samples <= 0:
             return None, 0.0
-        p = self._window[0][0].shape[0]
-        accumulated = CovarianceAccumulator(p)
-        for outer, n_samples in self._window:
-            partial = CovarianceAccumulator(p)
-            partial.n_rows = n_samples
-            partial.second_moment = outer
-            accumulated.merge(partial)
-        if accumulated.n_rows <= 0:
-            return None, 0.0
-        return accumulated.covariance(assume_centered=True), float(accumulated.n_rows)
+        return sum(outer for outer, _ in self._window) / n_samples, float(n_samples)
 
     def status(
         self, baseline_outer: np.ndarray | None, baseline_samples: float

@@ -11,12 +11,11 @@ from repro.linalg.covariance import (
     CovarianceAccumulator,
     block_centered_scatter,
     chunk_bounds,
+    condition_number_estimate,
     correlation_from_covariance,
     empirical_covariance,
     empirical_covariance_chunked,
-    is_positive_definite,
-    ledoit_wolf_shrinkage,
-    pair_difference_covariance,
+    psd_projection,
     shrunk_covariance,
 )
 
@@ -54,46 +53,6 @@ def test_shrunk_covariance_bad_intensity():
         shrunk_covariance(np.eye(2), 1.1)
 
 
-def test_ledoit_wolf_in_unit_interval():
-    rng = np.random.default_rng(1)
-    X = rng.normal(size=(50, 10))
-    a = ledoit_wolf_shrinkage(X)
-    assert 0.0 <= a <= 1.0
-
-
-def test_ledoit_wolf_small_sample_shrinks_harder():
-    """With a strongly anisotropic true covariance, small samples need more
-    shrinkage toward the identity target than large ones."""
-    rng = np.random.default_rng(1)
-    A = np.diag(np.linspace(0.2, 5.0, 20))
-    tiny = ledoit_wolf_shrinkage(rng.normal(size=(10, 20)) @ A)
-    big = ledoit_wolf_shrinkage(rng.normal(size=(2000, 20)) @ A)
-    assert tiny > big
-
-
-def test_pair_difference_recovers_covariance_structure():
-    rng = np.random.default_rng(2)
-    A = np.array([[1.0, 0.8], [0.0, 0.6]])
-    X = rng.normal(size=(4000, 2)) @ A.T
-    true_cov = A @ A.T
-    est = pair_difference_covariance(X, rng, n_pairs=20000)
-    assert np.allclose(est, true_cov, atol=0.1)
-
-
-def test_pair_difference_ignores_mean_shift():
-    """Shifting all rows by a constant leaves the estimate unchanged."""
-    rng = np.random.default_rng(3)
-    X = rng.normal(size=(1000, 3))
-    e1 = pair_difference_covariance(X, np.random.default_rng(7), n_pairs=5000)
-    e2 = pair_difference_covariance(X + 100.0, np.random.default_rng(7), n_pairs=5000)
-    assert np.allclose(e1, e2, atol=1e-8)
-
-
-def test_pair_difference_needs_two_rows():
-    with pytest.raises(ValueError):
-        pair_difference_covariance(np.zeros((1, 2)), np.random.default_rng(0))
-
-
 def test_correlation_from_covariance():
     S = np.array([[4.0, 2.0], [2.0, 9.0]])
     R = correlation_from_covariance(S)
@@ -109,10 +68,41 @@ def test_correlation_handles_zero_variance():
     assert R[0, 1] == 0.0
 
 
-def test_is_positive_definite():
-    assert is_positive_definite(np.eye(3))
-    assert not is_positive_definite(np.diag([1.0, -0.5, 2.0]))
-    assert not is_positive_definite(np.zeros((2, 2)))
+def random_symmetric(p, seed, spectrum):
+    """A symmetric ``p x p`` matrix with eigenvalues ``spectrum``."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(p, p)))
+    M = (U * np.asarray(spectrum, dtype=float)) @ U.T
+    return 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("floor", [0.0, 1e-6, 0.5])
+def test_psd_projection_is_symmetric_with_spectrum_above_the_floor(floor):
+    S = random_symmetric(5, seed=0, spectrum=[2.0, 1.0, 1e-3, -0.5, -3.0])
+    S[0, 1] += 0.25  # asymmetric input: the projection symmetrizes it
+    P = psd_projection(S, min_eigenvalue=floor)
+    np.testing.assert_allclose(P, P.T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() >= floor - 1e-12
+
+
+def test_psd_projection_leaves_a_matrix_above_the_floor_unchanged():
+    S = random_symmetric(6, seed=1, spectrum=[3.0, 2.0, 1.0, 0.5, 0.1, 0.01])
+    np.testing.assert_allclose(psd_projection(S, min_eigenvalue=1e-6), S,
+                               rtol=0, atol=1e-12)
+
+
+def test_condition_number_estimate():
+    S = random_symmetric(5, seed=2, spectrum=[4.0, 2.0, 1.0, 0.3, 0.05])
+    assert condition_number_estimate(S) == pytest.approx(np.linalg.cond(S), rel=1e-10)
+    assert condition_number_estimate(np.diag([1.0, 0.0, 2.0])) == np.inf
+    assert condition_number_estimate(np.zeros((0, 0))) == 1.0
+    assert condition_number_estimate(np.zeros((3, 3))) == 1.0
+
+
+@pytest.mark.parametrize("guard", [psd_projection, condition_number_estimate])
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_numerical_guards_reject_a_non_square_input(guard, shape):
+    with pytest.raises(ValueError, match="square"):
+        guard(np.ones(shape))
 
 
 def test_single_chunk_falls_back_to_exact_legacy_gemm():

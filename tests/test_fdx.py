@@ -106,6 +106,8 @@ def test_invalid_options_rejected():
         FDX(transform="bogus")
     with pytest.raises(ValueError):
         FDX(sparsity=-0.1)
+    with pytest.raises(ValueError):
+        FDX(max_rows_per_attribute=1)
 
 
 def test_max_rows_cap_reduces_samples():

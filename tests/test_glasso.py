@@ -6,11 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from repro.linalg.covariance import is_positive_definite
 from repro.linalg.glasso import (
     graphical_lasso,
     precision_to_partial_correlation,
 )
+
+
+def smallest_eigenvalue(M):
+    """Smallest eigenvalue of the symmetrized ``M``."""
+    return np.linalg.eigvalsh(0.5 * (M + M.T)).min()
 
 
 def test_zero_penalty_is_matrix_inverse():
@@ -38,7 +42,7 @@ def test_precision_is_symmetric_and_pd():
     S = np.cov(X, rowvar=False, bias=True)
     res = graphical_lasso(S, 0.05)
     assert np.allclose(res.precision, res.precision.T, atol=1e-8)
-    assert is_positive_definite(res.precision, tol=-1e-9)
+    assert smallest_eigenvalue(res.precision) > -1e-9
 
 
 def test_converges_on_identity():
@@ -120,7 +124,7 @@ def test_warm_start_from_perturbed_statistics():
     warm = graphical_lasso(S, 0.1, Theta0=previous.precision)
     cold = graphical_lasso(S, 0.1)
     assert np.allclose(warm.precision, cold.precision, atol=1e-3)
-    assert is_positive_definite(warm.precision)
+    assert smallest_eigenvalue(warm.precision) > 0
 
 
 def test_degenerate_warm_start_falls_back_to_cold():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.linalg.lasso import lasso_coordinate_descent, lasso_regression, soft_threshold
+from repro.linalg.lasso import lasso_coordinate_descent, soft_threshold
 
 
 def test_soft_threshold():
@@ -22,12 +22,19 @@ def test_quadratic_lasso_matches_closed_form_1d():
     assert beta[0] == pytest.approx((c - lam) / q)
 
 
+def regression(X, y, lam):
+    """The lasso regression ``min_b 0.5/n ||y - Xb||^2 + lam ||b||_1`` as
+    the quadratic lasso with ``Q = X'X/n`` and ``c = X'y/n``."""
+    n = X.shape[0]
+    return lasso_coordinate_descent(X.T @ X / n, X.T @ y / n, lam)
+
+
 def test_zero_penalty_matches_least_squares():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(200, 5))
     true = np.array([1.0, -2.0, 0.0, 0.5, 3.0])
     y = X @ true
-    beta = lasso_regression(X, y, lam=0.0)
+    beta = regression(X, y, lam=0.0)
     assert np.allclose(beta, true, atol=1e-5)
 
 
@@ -35,7 +42,7 @@ def test_large_penalty_zeroes_everything():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(100, 4))
     y = X @ np.array([1.0, 1.0, 1.0, 1.0])
-    beta = lasso_regression(X, y, lam=1e6)
+    beta = regression(X, y, lam=1e6)
     assert np.allclose(beta, 0.0)
 
 
@@ -43,7 +50,7 @@ def test_penalty_induces_sparsity_on_weak_coefficients():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(500, 3))
     y = X @ np.array([5.0, 0.05, 0.0]) + rng.normal(scale=0.01, size=500)
-    beta = lasso_regression(X, y, lam=0.2)
+    beta = regression(X, y, lam=0.2)
     assert abs(beta[0]) > 3.0
     assert beta[1] == 0.0
     assert beta[2] == 0.0
@@ -90,11 +97,6 @@ def test_shape_mismatch_rejected():
 def test_empty_problem():
     beta = lasso_coordinate_descent(np.zeros((0, 0)), np.zeros(0), 0.1)
     assert beta.shape == (0,)
-
-
-def test_empty_design_matrix_rejected():
-    with pytest.raises(ValueError):
-        lasso_regression(np.zeros((0, 2)), np.zeros(0), 0.1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,10 @@ def test_relation_from_rows_payload():
     {"attributes": ["a", "b"], "rows": [[1]]},  # arity mismatch
     {"attributes": ["a", "b"], "columns": {"a": [1], "b": [1, 2]}},  # ragged
     {"attributes": [3], "rows": [[1]]},
+    {"attributes": ["a", "b"], "columns": {"a": [1], "b": 5}},  # column a number
+    {"attributes": ["a", "b"], "columns": {"a": [1, 2], "b": "xy"}},  # column a string
+    {"attributes": ["a", "b"], "rows": [[1, 2], "ab"]},  # row a string
+    {"attributes": ["a", "b"], "rows": [[1, 2], {"a": 1, "b": 2}]},  # row an object
 ])
 def test_relation_from_wire_rejects_malformed(payload):
     with pytest.raises(ProtocolError):
@@ -97,6 +101,8 @@ def test_hyperparameters_rejects_unknown_keys():
     {"ordering": "bogus"},
     {"ordering": ["natural"]},
     {"min_batch_rows": None},
+    {"max_rows_per_attribute": 0},
+    {"max_rows_per_attribute": 1},
 ])
 def test_hyperparameters_reject_ill_typed(payload):
     with pytest.raises(ProtocolError, match="bad hyperparameter") as excinfo:

@@ -3,9 +3,10 @@
 Covers what the table promises: the SERVICE.md endpoint table lists
 exactly its routes, rows that share an endpoint label share an SLO,
 malformed bodies and ill-typed hyperparameters answer a typed 4xx (never
-a 500, never an ``http.5xx`` flight trigger), kept-alive replies are not
-held back by Nagle's algorithm, and a hypothesis fuzz of bodies, paths
-and query strings never gets a 5xx or leaves a job hung.
+a 500, never an ``http.5xx`` flight trigger), a refused session batch
+costs the session no rows, kept-alive replies are not held back by
+Nagle's algorithm, and a hypothesis fuzz of bodies, paths and query
+strings never gets a 5xx or leaves a job hung.
 """
 
 import http.client
@@ -135,6 +136,23 @@ NON_UTF8 = b'{"relation": "\xff\xfe"}'
 DEEP = b"[" * 20001 + b"]" * 20001
 
 
+def relation_body(relation=RELATION_WIRE, b_cell=None, b_column=None,
+                  b_dtype="categorical", last_row=None):
+    """A body carrying ``relation`` with one defect: column b's first cell
+    or whole column replaced (b typed ``b_dtype``), or, sent as rows, its
+    last row replaced."""
+    attributes = [{"name": "a"}, {"name": "b", "dtype": b_dtype}, {"name": "c"}]
+    columns = {name: list(values) for name, values in relation["columns"].items()}
+    if last_row is not None:
+        rows = [list(row) for row in zip(*columns.values())][:-1] + [last_row]
+        return json.dumps({"relation": {"attributes": attributes, "rows": rows}}).encode()
+    if b_column is not None:
+        columns["b"] = b_column
+    else:
+        columns["b"][0] = b_cell
+    return json.dumps({"relation": {"attributes": attributes, "columns": columns}}).encode()
+
+
 @pytest.mark.parametrize("path, body, headers", [
     ("/v1/discover", b"{}", {"Content-Length": "abc"}),
     ("/v1/sessions", b"{}", {"Content-Length": "-5"}),
@@ -143,14 +161,41 @@ DEEP = b"[" * 20001 + b"]" * 20001
     ("/v1/sessions/{sid}/batches", NON_UTF8, None),
     ("/v1/catalog", NON_UTF8, None),
     ("/v1/discover", DEEP, None),
+    ("/v1/discover", relation_body(b_cell=[1, 2]), None),
+    ("/v1/discover", relation_body(b_cell={"x": 1}), None),
+    ("/v1/discover", relation_body(b_cell="abc", b_dtype="numeric"), None),
+    ("/v1/discover", relation_body(b_cell=10**400, b_dtype="numeric"), None),
+    ("/v1/discover", relation_body(b_column=5), None),
+    ("/v1/discover", relation_body(b_column="x" * 120), None),  # one char a row
+    ("/v1/discover", relation_body(last_row="abc"), None),  # one char a cell
+    ("/v1/discover", relation_body(last_row={"a": 1, "b": 2, "c": 3}), None),
 ], ids=["length-abc", "length-negative", "utf8-discover", "utf8-sessions",
-        "utf8-batches", "utf8-catalog", "deep-nesting"])
+        "utf8-batches", "utf8-catalog", "deep-nesting", "array-cell",
+        "object-cell", "numeric-abc", "numeric-overflow", "number-column",
+        "string-column", "string-row", "object-row"])
 def test_malformed_body_is_400_not_500(handle, path, body, headers):
     if "{sid}" in path:
         path = path.format(sid=ServiceClient(handle.base_url).create_session())
     status, payload = raw_request(handle, "POST", path, body, headers)
     assert status == 400, payload
     assert payload["error"]["message"]
+    assert http_5xx_triggers(handle.service) == []
+    assert handle.service.last_error() is None
+
+
+def test_rejected_batch_leaves_the_session_intact(handle):
+    """A batch with a cell the transform cannot encode is refused before
+    it is buffered, so it loses neither the rows before it nor the next
+    append."""
+    client = ServiceClient(handle.base_url)
+    path = f"/v1/sessions/{client.create_session()}/batches"
+    good = json.dumps({"relation": RELATION_WIRE}).encode()  # 120 rows
+    # Ten rows: below min_batch_rows, so an accepted batch would be buffered.
+    bad = relation_body(relation_to_wire(small_relation(n=10)), b_cell=[1, 2])
+    for body, expected in ((good, 200), (bad, 400), (good, 200)):
+        status, payload = raw_request(handle, "POST", path, body)
+        assert status == expected, payload
+    assert payload["n_rows_seen"] == 240, payload
     assert http_5xx_triggers(handle.service) == []
     assert handle.service.last_error() is None
 
@@ -183,6 +228,8 @@ def test_oversized_content_length_is_413_not_500_or_a_hang(handle, declared):
     ("/v1/discover", {"lam": -1}),
     ("/v1/sessions", {"decay": 7}),
     ("/v1/sessions", {"lam": "abc"}),
+    ("/v1/discover", {"max_rows_per_attribute": 0}),
+    ("/v1/discover", {"max_rows_per_attribute": 1}),
 ])
 def test_ill_typed_hyperparameters_are_400(handle, path, hyperparameters):
     body = {"hyperparameters": hyperparameters}

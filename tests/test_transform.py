@@ -78,6 +78,11 @@ def test_max_rows_per_attribute_caps_sample():
         rel, np.random.default_rng(0), max_rows_per_attribute=50
     )
     assert out.shape == (50 * 3, 3)
+    for cap in (0, 1):  # a row is never paired with itself
+        with pytest.raises(ValueError):
+            pair_difference_transform(
+                rel, np.random.default_rng(0), max_rows_per_attribute=cap
+            )
 
 
 def test_numeric_tolerance_equality():
