@@ -267,6 +267,32 @@ for key in ("fds", "sampling"):
 assert serial["hints"] == fanned["hints"], (serial["hints"], fanned["hints"])
 print(f"catalog --workers 2 parity OK: {len(fanned['tables'])} tables match serial")
 PY
+# --timeout bounds every table at any worker count: a 1 ms budget at one
+# worker turns every table into a TaskTimeoutError record (exit 2).
+status=0
+"$PYTHON" -m repro sweep --input "$SMOKE_DIR/catalog.sqlite" --sample 500 \
+    --workers 1 --timeout 0.001 --report "$SMOKE_DIR/catalog_timeout.json" \
+    >/dev/null || status=$?
+"$PYTHON" - "$status" "$SMOKE_DIR/catalog_timeout.json" <<'PY'
+import json, sys
+status, report = int(sys.argv[1]), json.load(open(sys.argv[2]))
+assert status == 2, status
+types = [t.get("error", {}).get("type") for t in report["tables"]]
+assert len(types) == 3 and set(types) == {"TaskTimeoutError"}, types
+print(f"catalog --timeout OK: {len(types)} TaskTimeoutError records, exit 2")
+PY
+# An invalid FDX option fails the whole sweep with one error line.
+status=0
+"$PYTHON" -m repro sweep --input "$SMOKE_DIR/catalog.sqlite" --lam -1 \
+    >/dev/null 2>"$SMOKE_DIR/catalog_lam.err" || status=$?
+"$PYTHON" - "$status" "$SMOKE_DIR/catalog_lam.err" <<'PY'
+import sys
+status, err = int(sys.argv[1]), open(sys.argv[2]).read()
+assert status == 2, status
+assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+assert "Traceback" not in err, err
+print(f"catalog --lam -1 OK: exit 2, {err.strip()}")
+PY
 
 echo "== streaming session smoke =="
 # In-process service round trip over the streaming surface: create a

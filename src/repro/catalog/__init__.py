@@ -7,10 +7,11 @@ Layers (each its own module):
 * :mod:`~repro.catalog.sampling` — seeded reservoir / block samplers
   with per-entry standard-error bars on the sampled covariance and an
   ``adequate`` flag (undersampled tables are flagged, never silent).
-* :mod:`~repro.catalog.sweep` — one job per table through the parallel
-  engine (serial/thread/process) with per-table cancel tokens,
-  timeouts and crash isolation; single-table failures become per-table
-  error records, never sweep aborts.
+* :mod:`~repro.catalog.sweep` — one job per table, planned through the
+  service's :class:`~repro.service.catalog.CatalogManager` on a private
+  job manager (a job thread at one worker, supervised child processes
+  above), with per-table timeouts and crash isolation; single-table
+  failures become per-table error records, never sweep aborts.
 * :mod:`~repro.catalog.report` — the consolidated :class:`CatalogReport`
   (per-table FDs + diagnostics + sampling adequacy, cross-table
   shared-key hints) with JSON and rendered-text output.

@@ -25,12 +25,11 @@ over ``n`` sampled rows, the plug-in standard error is::
 
     se_jk = sqrt( (mean((z_j z_k)^2) - S_jk^2) / n )
 
-computed by streaming the sample's row chunks through two
-:class:`~repro.linalg.covariance.CovarianceAccumulator` partials — one
-over ``Z``, one over ``Z∘Z`` (elementwise square), whose second-moment
-matrix is exactly ``Σ (z_j z_k)^2``. Both folds run in fixed chunk
-order, so the bars are deterministic. The error decays at the ~1/√n
-Monte-Carlo rate (the property the test suite pins down), and
+computed by summing, over the sample's fixed row chunks, the products
+``ZᵀZ`` and ``(Z∘Z)ᵀ(Z∘Z)`` (``Z∘Z`` the elementwise square, whose
+second-moment matrix is exactly ``Σ (z_j z_k)^2``). Both sums run in
+chunk order, so the bars are deterministic. The error decays at the
+~1/√n Monte-Carlo rate (the property the test suite pins down), and
 ``adequate = max_jk se_jk <= tolerance`` with the documented default
 :data:`DEFAULT_TOLERANCE` = 0.05.
 """
@@ -43,7 +42,7 @@ import numpy as np
 
 from ..dataset.relation import Relation, concat_rows
 from ..errors import CatalogError
-from ..linalg.covariance import CovarianceAccumulator, chunk_bounds
+from ..linalg.covariance import chunk_bounds
 from .connector import DEFAULT_BATCH_ROWS, Connector
 
 __all__ = [
@@ -59,7 +58,7 @@ __all__ = [
 #: the standardized sampled covariance must stay within this bound.
 DEFAULT_TOLERANCE = 0.05
 
-#: Chunk size for streaming the sample through the accumulators.
+#: Row-chunk size of the error-bar sums.
 _SE_CHUNK_ROWS = 2048
 
 SAMPLER_METHODS = ("reservoir", "block")
@@ -197,22 +196,23 @@ def covariance_standard_error(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled covariance of standardized rows plus per-entry SE bars.
 
-    Streams fixed row chunks through two mergeable accumulators (values
-    and elementwise squares) folded in chunk order — deterministic for
-    any chunking, one pass over the sample.
+    Sums the products of fixed row chunks (values and elementwise
+    squares) in chunk order — deterministic for any chunking, one pass
+    over the sample.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] == 0:
         raise ValueError("need a non-empty 2-D sample matrix")
     n, p = Z.shape
-    acc = CovarianceAccumulator(p)
-    acc_sq = CovarianceAccumulator(p)
+    products = np.zeros((p, p))
+    squares = np.zeros((p, p))
     for start, stop in chunk_bounds(n, chunk_rows):
         chunk = Z[start:stop]
-        acc.merge(CovarianceAccumulator.from_rows(chunk))
-        acc_sq.merge(CovarianceAccumulator.from_rows(chunk * chunk))
-    S = acc.second_moment / n            # E[z_j z_k] (columns are centered)
-    Q = acc_sq.second_moment / n         # E[(z_j z_k)^2]
+        products += chunk.T @ chunk
+        chunk_sq = chunk * chunk
+        squares += chunk_sq.T @ chunk_sq
+    S = products / n                     # E[z_j z_k] (columns are centered)
+    Q = squares / n                      # E[(z_j z_k)^2]
     variance = np.clip(Q - S * S, 0.0, None)
     return S, np.sqrt(variance / n)
 
@@ -266,8 +266,7 @@ def sample_table(
     """Draw a seeded sample of ``table`` and score its adequacy.
 
     One streaming pass over the table's batches feeds the configured
-    sampler; the retained rows then stream through the covariance
-    accumulators for the error bars. A table with at most ``n_sample``
+    sampler; the retained rows then give the covariance error bars. A table with at most ``n_sample``
     rows is taken whole (``exact=True``) — its bars then measure
     estimate noise, not sampling loss, and small tables can still flag
     inadequate when ``n`` itself is too small for a stable covariance.

@@ -1,39 +1,36 @@
-"""Sweep orchestration: one guarded discovery job per table.
+"""Sweep orchestration: one discovery job per table.
 
-The sweep plans one task per table (the connector's sorted table list)
-and *guards* every task: a table whose job raises, crashes, times out
-or is cancelled becomes a per-table **error record** in the report — a
-single bad table never aborts the catalog.
+:func:`sweep` plans one job per table (the connector's sorted table
+list) through :class:`repro.service.catalog.CatalogManager`, the
+orchestrator ``POST /v1/catalog`` uses too, on a private
+:class:`~repro.service.jobs.JobManager` of ``workers`` slots. A table
+whose job raises, crashes, times out or is cancelled becomes a
+per-table **error record** in the report — a single bad table never
+aborts the catalog.
 
-``workers`` alone decides the fan-out:
+``workers`` alone decides where the tables run:
 
-* ``workers == 1`` — tables run inline, one at a time; the reference
-  path.
-* ``workers > 1`` — each table runs in its own supervised
-  :func:`~repro.parallel.worker.run_in_process` child, and a stdlib
-  ``ThreadPoolExecutor`` of ``workers`` threads supervises the
-  children. A child gets its own cancel token and the ``table_timeout``
-  budget, dies alone on a crash (``WorkerCrashError`` → error record),
-  and its trace spans are stitched back under its table's span.
+* ``workers == 1`` — on the manager's one job thread, one at a time;
+  the reference path.
+* ``workers > 1`` — the manager's process executor: each table in its
+  own supervised child process, ``workers`` at a time. A child dies
+  alone on a crash (``WorkerCrashError`` → error record), and its trace
+  spans are stitched back under its table's span.
 
-Tables never run on threads in one interpreter: each table is one
-CPU-bound Python/NumPy pipeline, and on threads the tables contend for
-the GIL (measured slower than serial; see docs/PARALLEL.md). Inside each
-table job the discovery runs the FDX fallback ladder, so solver trouble
-degrades within the table before the guard ever sees it.
-
-The fault point ``catalog.table`` fires in each table's *guard* (parent
-side, so an injected ``times=1`` plan fails exactly one table whatever
-``workers`` is); ``parallel.worker_crash`` fires inside the children
-for hard-crash isolation. The chaos tests use both to prove injected
-failures yield error records, never sweep aborts.
+``table_timeout`` bounds every table at any worker count: a table job
+past its deadline is a ``TaskTimeoutError`` record (its child is
+terminated; on the job thread the observed deadline sets the job's
+cancel token, which the pipeline polls at stage boundaries).
+Tables never run on threads in parallel: each table is one CPU-bound
+Python/NumPy pipeline, and on threads the tables contend for the GIL
+(measured slower than serial; see docs/PARALLEL.md). Inside each table
+job the discovery runs the FDX fallback ladder, so solver trouble
+degrades within the table before its job ever fails.
 """
 
 from __future__ import annotations
 
-import contextvars
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..core.fdx import FDX
@@ -41,11 +38,8 @@ from ..constraints.keys import discover_keys
 from ..errors import CatalogError
 from ..obs.registry import MetricsRegistry, get_registry
 from ..obs.trace import Tracer, get_tracer
-from ..parallel.worker import run_in_process
-from ..resilience.cancel import CancelToken, set_current_cancel_token
-from ..resilience.faults import maybe_raise
 from .connector import DEFAULT_BATCH_ROWS, Connector, connector_from_spec
-from .report import CatalogReport, TableReport, column_signature
+from .report import CatalogReport, column_signature
 from .sampling import DEFAULT_TOLERANCE, sample_table
 
 __all__ = ["SweepConfig", "sweep"]
@@ -60,10 +54,11 @@ class SweepConfig:
     """Everything a sweep (and each of its table jobs) needs to know.
 
     ``hyperparameters`` is forwarded to :class:`repro.FDX` verbatim
-    (``lam``, ``sparsity``, ``seed``, ...). Parallelism lives at the
-    table level (``workers``; above 1, each table runs in its own child
-    process under ``table_timeout``); each table's discovery is one
-    serial pipeline.
+    (``lam``, ``sparsity``, ``seed``, ...) and checked here, so a bad
+    value fails the sweep once instead of every table. Parallelism lives
+    at the table level (``workers``; above 1, each table runs in its own
+    child process), ``table_timeout`` bounds each table at any worker
+    count, and each table's discovery is one serial pipeline.
     """
 
     sample: int = 10_000
@@ -81,6 +76,10 @@ class SweepConfig:
             raise CatalogError(f"workers must be >= 1, got {self.workers}")
         if self.sample < 2:
             raise CatalogError(f"sample size must be >= 2 rows, got {self.sample}")
+        try:
+            FDX(**self.hyperparameters)
+        except (TypeError, ValueError) as exc:
+            raise CatalogError(f"bad FDX hyperparameters: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -109,28 +108,6 @@ class SweepConfig:
                 f"options: {sorted(known)}"
             )
         return cls(**payload)
-
-
-class _LinkedToken(CancelToken):
-    """Per-table token that also trips when the sweep-level token does."""
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, parent: CancelToken | None = None) -> None:
-        super().__init__()
-        self._parent = parent
-
-    def is_set(self) -> bool:
-        if super().is_set():
-            return True
-        if self._parent is not None and self._parent.is_set():
-            self.set(self._parent.reason)
-            return True
-        return False
-
-    def raise_if_cancelled(self) -> None:
-        if self.is_set():
-            super().raise_if_cancelled()
 
 
 def _serialize_keys(result) -> dict:
@@ -186,128 +163,44 @@ def _table_job(task: dict) -> dict:
     }
 
 
-def _guarded_table(
-    task: dict,
-    *,
-    in_child: bool,
-    token: CancelToken,
-    timeout: float | None,
-    registry: MetricsRegistry,
-    tracer: Tracer,
-) -> dict:
-    """Run one table under its guard: any failure -> an error record.
-
-    ``in_child`` runs the job in a supervised child process under
-    ``timeout``; otherwise it runs inline under ``token``.
-    """
-    table = task["table"]
-    start = time.perf_counter()
-    try:
-        with tracer.span("catalog.table", table=table):
-            token.raise_if_cancelled()
-            maybe_raise("catalog.table", f"injected failure for table {table!r}")
-            if in_child:
-                record = run_in_process(
-                    _table_job,
-                    (task,),
-                    cancel_token=token,
-                    timeout=timeout,
-                    registry=registry,
-                    tracer=tracer,
-                )
-            else:
-                reset = set_current_cancel_token(token)
-                try:
-                    record = _table_job(task)
-                finally:
-                    reset.var.reset(reset)
-        status = "ok"
-    except Exception as exc:  # the guard: one table, one record
-        record = TableReport.from_error(
-            table,
-            type(exc).__name__,
-            str(exc),
-            seconds=time.perf_counter() - start,
-        ).to_dict()
-        status = "error"
-    registry.counter(
-        "catalog_tables_total",
-        labels={"status": status},
-        help="Tables processed by catalog sweeps",
-    ).inc()
-    return record
-
-
 def sweep(
     connector: Connector,
     config: SweepConfig | None = None,
     *,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    cancel_token: CancelToken | None = None,
 ) -> CatalogReport:
     """Sweep every table of ``connector`` and consolidate the report.
 
-    Tables are planned in sorted-name order; each runs under its own
-    guard (and, with ``workers > 1``, its own supervised child with a
-    cancel token and timeout). ``cancel_token`` — typically a service
-    job's — trips every per-table token, so cancellation drains fast but
-    still yields a report whose unfinished tables are ``cancelled``
-    error records rather than silence.
+    Tables are planned in sorted-name order as jobs of a private
+    :class:`~repro.service.jobs.JobManager` (``workers`` slots; child
+    processes above 1), which is shut down before the report returns.
     """
+    # Imported here: repro.service imports repro.catalog.
+    from ..service.catalog import CatalogManager
+    from ..service.jobs import JobManager
+
     config = config if config is not None else SweepConfig()
     registry = registry if registry is not None else get_registry()
     tracer = tracer if tracer is not None else get_tracer()
-    start = time.perf_counter()
     names = connector.table_names()
-    source_spec = connector.spec()
-    config_dict = config.to_dict()
-    tasks = [
-        {"source": source_spec, "table": name, "config": config_dict}
-        for name in names
-    ]
-
-    def run_one(task: dict) -> dict:
-        return _guarded_table(
-            task,
-            in_child=config.workers > 1,
-            token=_LinkedToken(cancel_token),
-            timeout=config.table_timeout,
-            registry=registry,
-            tracer=tracer,
-        )
-
-    with tracer.span(
-        "catalog.sweep",
-        source=connector.describe(),
-        tables=len(names),
+    describe = connector.describe()
+    jobs = JobManager(
         workers=config.workers,
-    ):
-        if config.workers == 1:
-            records = [run_one(task) for task in tasks]
-        else:
-            # The pool threads only supervise children. Each task runs in
-            # a copy of this context, so its catalog.table span nests
-            # under catalog.sweep and keeps its trace id. The guard turns
-            # every failure into a record, so no future raises.
-            with ThreadPoolExecutor(
-                max_workers=config.workers, thread_name_prefix="repro-sweep"
-            ) as pool:
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_one, task)
-                    for task in tasks
-                ]
-                records = [future.result() for future in futures]
-
-    seconds = time.perf_counter() - start
-    registry.histogram(
-        "catalog_sweep_seconds",
-        help="Wall-clock seconds per catalog sweep",
-    ).observe(seconds)
-    report = CatalogReport(
-        source={"describe": connector.describe(), **source_spec},
-        config=config_dict,
-        tables=[TableReport.from_dict(record) for record in records],
-        seconds=seconds,
+        executor="process" if config.workers > 1 else "thread",
+        default_timeout=None,
+        registry=registry,
+        tracer=tracer,
     )
-    return report.finalize()
+    try:
+        catalogs = CatalogManager(jobs, registry, tracer)
+        with tracer.span(
+            "catalog.sweep", source=describe, tables=len(names),
+            workers=config.workers,
+        ):
+            run = catalogs.plan(connector.spec(), describe, names, config)
+            catalogs.wait(run)
+        report = catalogs.status(run)["report"]
+    finally:
+        jobs.shutdown()
+    return CatalogReport.from_dict(report)

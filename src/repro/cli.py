@@ -50,14 +50,18 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         from .obs import SamplingProfiler
 
         profiler = SamplingProfiler(hz=args.profile_hz)
-    fdx = FDX(
-        lam=args.lam,
-        sparsity=args.sparsity,
-        ordering=args.ordering,
-        max_rows_per_attribute=args.max_rows,
-        tracer=tracer,
-        track_memory=args.memory,
-    )
+    try:
+        fdx = FDX(
+            lam=args.lam,
+            sparsity=args.sparsity,
+            ordering=args.ordering,
+            max_rows_per_attribute=args.max_rows,
+            tracer=tracer,
+            track_memory=args.memory,
+        )
+    except ValueError as exc:  # an option out of range: one line, exit 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if profiler is not None:
         with profiler:
             result = fdx.discover(relation)
@@ -497,12 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adequacy tolerance on the max covariance standard "
                         "error (standardized scale)")
     p.add_argument("--workers", type=int, default=1, metavar="K",
-                   help="tables processed concurrently (1 = serial, inline); "
-                        "above 1 each table runs in its own supervised child "
-                        "process, so one crashing table becomes an error "
-                        "record")
+                   help="tables processed concurrently (1 = one table at a "
+                        "time); above 1 each table runs in its own supervised "
+                        "child process, so one crashing table becomes an "
+                        "error record")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-table wall-clock budget (with --workers > 1)")
+                   help="per-table wall-clock budget at any --workers; a "
+                        "table past it becomes a TaskTimeoutError record")
     p.add_argument("--lam", type=float, default=None,
                    help="graphical-lasso penalty forwarded to FDX")
     p.add_argument("--sparsity", type=float, default=None,

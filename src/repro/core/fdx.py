@@ -18,6 +18,8 @@ Usage::
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ from ..errors import (
     InputValidationError,
     InsufficientRowsError,
 )
+from ..linalg.ordering import ORDERING_METHODS
 from ..obs.explain import build_evidence
 from ..obs.profile import MemoryTracker, StageClock
 from ..obs.trace import Tracer, get_tracer
@@ -431,6 +434,23 @@ class FDX:
     ) -> None:
         if transform not in ("circular", "uniform"):
             raise ValueError(f"unknown transform {transform!r}")
+        if lam != "ebic" and not (
+            isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+            and 0 <= lam < math.inf
+        ):
+            raise ValueError(
+                f"lam must be a finite non-negative number or 'ebic', got {lam!r}"
+            )
+        if not 0.0 <= shrinkage <= 1.0:
+            raise ValueError(f"shrinkage must be in [0, 1], got {shrinkage!r}")
+        if ordering not in ORDERING_METHODS:
+            raise ValueError(
+                f"unknown ordering {ordering!r}; options: {sorted(ORDERING_METHODS)}"
+            )
+        if estimator not in ("glasso", "neighborhood"):
+            raise ValueError(
+                f"unknown estimator {estimator!r}; options: glasso, neighborhood"
+            )
         if sparsity < 0:
             raise ValueError("sparsity threshold must be non-negative")
         if max_rows_per_attribute is not None and max_rows_per_attribute < 2:

@@ -37,51 +37,6 @@ def empirical_covariance(X: np.ndarray, assume_centered: bool = False) -> np.nda
     return (Xc.T @ Xc) / n
 
 
-class CovarianceAccumulator:
-    """Exactly-mergeable second-moment partials over row shards.
-
-    Each row chunk reduces to ``(n, Σx, XᵀX)``; partials merge by plain
-    addition. Merging is *order-sensitive* (floating-point addition is
-    not associative), so callers fold partials in a fixed order — chunk
-    index order in :func:`empirical_covariance_chunked` and in catalog
-    sampling.
-    """
-
-    __slots__ = ("n_rows", "col_sum", "second_moment")
-
-    def __init__(self, n_variables: int) -> None:
-        self.n_rows = 0
-        self.col_sum = np.zeros(n_variables, dtype=np.float64)
-        self.second_moment = np.zeros((n_variables, n_variables), dtype=np.float64)
-
-    @classmethod
-    def from_rows(cls, X: np.ndarray) -> "CovarianceAccumulator":
-        """One shard's partial (the float64 cast of uint8 agreements is
-        exact, so casting per-chunk equals casting the whole matrix)."""
-        X = np.asarray(X, dtype=np.float64)
-        acc = cls(X.shape[1])
-        acc.n_rows = X.shape[0]
-        acc.col_sum = X.sum(axis=0)
-        acc.second_moment = X.T @ X
-        return acc
-
-    def merge(self, other: "CovarianceAccumulator") -> "CovarianceAccumulator":
-        """In-place left fold: ``self`` absorbs ``other`` (in chunk order)."""
-        self.n_rows += other.n_rows
-        self.col_sum += other.col_sum
-        self.second_moment += other.second_moment
-        return self
-
-    def covariance(self, assume_centered: bool = False) -> np.ndarray:
-        if self.n_rows == 0:
-            raise ValueError("need at least one sample")
-        moment = self.second_moment / self.n_rows
-        if assume_centered:
-            return moment
-        mean = self.col_sum / self.n_rows
-        return moment - np.outer(mean, mean)
-
-
 def chunk_bounds(
     n_rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> list[tuple[int, int]]:
@@ -102,9 +57,9 @@ def empirical_covariance_chunked(
     """Second-moment estimator folded over fixed row chunks.
 
     The rows of ``X`` are split at fixed boundaries
-    (:func:`chunk_bounds`), each chunk reduces to a
-    :class:`CovarianceAccumulator`, and partials merge left-to-right in
-    chunk order.
+    (:func:`chunk_bounds`), and each chunk's ``XᵀX`` and column sums are
+    added in chunk order (floating-point addition is not associative,
+    so the order is fixed).
 
     A single chunk (``n <= chunk_rows``) falls back to the one-GEMM
     :func:`empirical_covariance`, making this a drop-in replacement on
@@ -121,11 +76,19 @@ def empirical_covariance_chunked(
     bounds = chunk_bounds(n, chunk_rows)
     if len(bounds) <= 1:
         return empirical_covariance(X, assume_centered=assume_centered)
+    # The float64 cast of each chunk equals the cast of the whole matrix.
     (start, stop), *rest = bounds
-    accumulated = CovarianceAccumulator.from_rows(X[start:stop])
+    chunk = np.asarray(X[start:stop], dtype=np.float64)
+    second_moment, col_sum = chunk.T @ chunk, chunk.sum(axis=0)
     for start, stop in rest:
-        accumulated.merge(CovarianceAccumulator.from_rows(X[start:stop]))
-    return accumulated.covariance(assume_centered=assume_centered)
+        chunk = np.asarray(X[start:stop], dtype=np.float64)
+        second_moment += chunk.T @ chunk
+        col_sum += chunk.sum(axis=0)
+    moment = second_moment / n
+    if assume_centered:
+        return moment
+    mean = col_sum / n
+    return moment - np.outer(mean, mean)
 
 
 def block_centered_scatter(X: np.ndarray, n_blocks: int = 1) -> np.ndarray:

@@ -510,7 +510,7 @@ def _case_catalog_sampling(smoke: bool) -> Callable[[], object]:
     """Sampling overhead alone: one streamed reservoir pass + error bars.
 
     Prices what a sweep pays *before* discovery — batch iteration, the
-    Algorithm-R reservoir, and the two-accumulator covariance/SE fold —
+    Algorithm-R reservoir, and the chunked covariance/SE sums —
     so the ledger separates sampling cost from solver cost.
     """
     from ..catalog import SqliteConnector, sample_table

@@ -17,11 +17,11 @@ Built-in injection points
 ``glasso.nonconverge``     structure learning treats the graphical lasso as
                            having hit ``max_iter`` (``converged=False``),
                            exercising the FDX fallback ladder
-``catalog.table``          one catalog-sweep table guard raises
-                           :class:`InjectedFault` before dispatching its
-                           table job — proves a single-table failure becomes
-                           a per-table error record, never a sweep abort.
-                           Fires parent-side, so ``times=1`` fails exactly
+``catalog.table``          one catalog table job raises :class:`InjectedFault`
+                           before its table runs — proves a single-table
+                           failure becomes a per-table error record, never
+                           a sweep abort. Fires in the parent's job, before
+                           any child starts, so ``times=1`` fails exactly
                            one table whatever the sweep's worker count
 ``parallel.worker_crash``  a ``run_in_process`` child dies hard
                            (``os._exit(3)``) before running its job —

@@ -1,19 +1,23 @@
-"""Service batch mode: a catalog sweep as a group of per-table jobs.
+"""Catalog sweeps as groups of per-table jobs: the one orchestrator.
 
-``POST /v1/catalog`` plans one :class:`~repro.service.jobs.JobManager`
-job per table of the requested source, so every piece of machinery the
-single-dataset path already has applies per table for free: the journal
-records each table job, repeated worker-crashers are quarantined by
-their stable ``<catalog_id>:<table>`` key, flight-recorder triggers fire
-on table-job crashes, and the process executor gives each table a hard
-timeout and crash isolation.
+:meth:`CatalogManager.plan` submits one
+:class:`~repro.service.jobs.JobManager` job per table, so every piece of
+machinery a single job has applies per table: the job's executor runs
+the table inline or in a supervised child, its timeout bounds the
+table, and a failure of any kind ends that job alone. ``POST
+/v1/catalog`` (through :meth:`CatalogManager.submit`) and
+:func:`repro.catalog.sweep` (on a private manager) both plan here, so a
+failure becomes the same per-table error record either way. In the
+service the journal records each table job, repeated worker-crashers
+are quarantined by their stable ``<catalog_id>:<table>`` key, and
+flight-recorder triggers fire on table-job crashes.
 
-``GET /v1/catalog/<id>`` is incremental: while jobs run it reports
-per-table states (queued/running/done/error); once every job is
+Status is incremental: while jobs run, :meth:`CatalogManager.status`
+reports per-table states (queued/running/done/error); once every job is
 terminal it assembles — exactly once — the consolidated
-:class:`~repro.catalog.report.CatalogReport` (failed/cancelled/
-quarantined table jobs become per-table error records) and caches it
-for subsequent polls.
+:class:`~repro.catalog.report.CatalogReport` (a table job that did not
+finish becomes an error record typed by :attr:`Job.error_type`) and
+caches it for subsequent polls.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class CatalogManager:
     # -- submission --------------------------------------------------------
 
     def submit(self, payload: dict) -> CatalogRun:
-        """Validate the request, enumerate tables, submit one job each.
+        """Validate the request, enumerate its tables and plan them.
 
         Raises :class:`CatalogError` for an unusable source or config
         (the service maps it to a 400).
@@ -109,7 +113,11 @@ class CatalogManager:
             connector.close()
         if not names:
             raise CatalogError(f"source {describe} has no tables to sweep")
+        return self.plan(spec, describe, names, config)
 
+    def plan(self, spec: dict, describe: str, names: list[str],
+             config: SweepConfig) -> CatalogRun:
+        """Submit one job per table of ``names``; the run tracks them."""
         run = CatalogRun(
             catalog_id=uuid.uuid4().hex[:12],
             source={"describe": describe, **spec},
@@ -153,17 +161,17 @@ class CatalogManager:
                 "catalog.table", table=table, catalog_id=catalog_id,
                 executor=self.jobs.executor_mode,
             ):
+                # Fires in the job, before any child starts, so a times=1
+                # plan fails exactly one table whatever the executor.
                 maybe_raise(
                     "catalog.table", f"injected failure for table {table!r}"
                 )
-                if self.jobs.executor_mode == "process":
-                    timeout = task["config"].get("table_timeout")
-                    return self.jobs.run_in_worker(
-                        _table_job, (task,),
-                        timeout=(timeout if timeout is not None
-                                 else self.jobs.default_timeout),
-                    )
-                return _table_job(task)
+                timeout = task["config"].get("table_timeout")
+                return self.jobs.run_in_worker(
+                    _table_job, (task,),
+                    timeout=(timeout if timeout is not None
+                             else self.jobs.default_timeout),
+                )
 
         return body
 
@@ -238,7 +246,7 @@ class CatalogManager:
             else:
                 reports.append(TableReport.from_error(
                     name,
-                    job.state,
+                    job.error_type or job.state,
                     job.error or f"table job ended in state {job.state}",
                 ))
         report = CatalogReport(

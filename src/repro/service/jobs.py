@@ -154,6 +154,10 @@ class Job:
         self.finished_at: float | None = None
         self.result: Any = None
         self.error: str | None = None
+        #: Type name of what ended the job: the exception's, or
+        #: ``TaskTimeoutError`` / ``CancelledError`` for a blown deadline
+        #: or a cancel (None while running, when done, or restored).
+        self.error_type: str | None = None
         self._state = QUEUED
         self._cancel_requested = False
         self._lock = threading.Lock()
@@ -194,12 +198,16 @@ class Job:
             self.queue_seconds = self.started_at - self._submitted_monotonic
             return True
 
-    def _finish_locked(self, state: str, *, result: Any = None, error: str | None = None) -> None:
+    def _finish_locked(
+        self, state: str, *, result: Any = None, error: str | None = None,
+        error_type: str | None = None,
+    ) -> None:
         if self._state in TERMINAL_STATES:
             return
         self._state = state
         self.result = result
         self.error = error
+        self.error_type = "CancelledError" if state == CANCELLED else error_type
         self.finished_at = time.monotonic()
         if state != DONE:
             # Timeout/cancel may be observed while the worker still
@@ -210,9 +218,7 @@ class Job:
     def _complete(self, result: Any) -> None:
         with self._lock:
             if self._timed_out_locked():
-                self._finish_locked(
-                    FAILED, error=f"timed out after {self.timeout:.3f}s"
-                )
+                self._time_out_locked()
             elif self._cancel_requested:
                 self._finish_locked(CANCELLED, error="cancelled while running")
             else:
@@ -223,7 +229,10 @@ class Job:
             if self._cancel_requested:
                 self._finish_locked(CANCELLED, error="cancelled while running")
             else:
-                self._finish_locked(FAILED, error=f"{type(exc).__name__}: {exc}")
+                self._finish_locked(
+                    FAILED, error=f"{type(exc).__name__}: {exc}",
+                    error_type=type(exc).__name__,
+                )
 
     def _timed_out_locked(self) -> bool:
         return (
@@ -233,6 +242,12 @@ class Job:
             and time.monotonic() - self.started_at > self.timeout
         )
 
+    def _time_out_locked(self) -> None:
+        self._finish_locked(
+            FAILED, error=f"timed out after {self.timeout:.3f}s",
+            error_type="TaskTimeoutError",
+        )
+
     # -- observation -------------------------------------------------------
 
     @property
@@ -240,7 +255,7 @@ class Job:
         """Current state; a blown deadline surfaces as FAILED immediately."""
         with self._lock:
             if self._timed_out_locked():
-                self._finish_locked(FAILED, error=f"timed out after {self.timeout:.3f}s")
+                self._time_out_locked()
             return self._state
 
     def cancel(self) -> bool:
@@ -608,7 +623,9 @@ class JobManager:
                 f"last error: {type(exc).__name__}: {exc}"
             )
             with job._lock:
-                job._finish_locked(QUARANTINED, error=error)
+                job._finish_locked(
+                    QUARANTINED, error=error, error_type=type(exc).__name__
+                )
             self._journal_event(
                 "quarantined", job, error=error, attempts=job.attempt,
                 crash=True,

@@ -1,4 +1,4 @@
-"""Tests for sweep orchestration: discovery, isolation, cancellation."""
+"""Tests for sweep orchestration: discovery, isolation, timeouts."""
 
 import sqlite3
 
@@ -9,7 +9,6 @@ from repro.errors import CatalogError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import ListSink
 from repro.obs.trace import Tracer
-from repro.resilience.cancel import CancelToken
 from repro.resilience.faults import FaultInjector
 
 
@@ -84,14 +83,14 @@ def _assert_one_injected_error_record(catalog_db, workers):
 
 
 def test_injected_table_fault_yields_one_error_record(catalog_db):
-    """The guard turns an injected failure of an inline table into one
-    record, and the other tables still succeed."""
+    """An injected failure of a table on the job thread is one record,
+    and the other tables still succeed."""
     _assert_one_injected_error_record(catalog_db, workers=1)
 
 
 def test_thread_backend_guards_logical_failures(catalog_db):
-    """With workers > 1 the tables fan out from a thread pool; a failure
-    on a pool thread, before its child starts, is still one record."""
+    """With workers > 1 the fault fires in the table's job before its
+    child starts, and is still one record."""
     _assert_one_injected_error_record(catalog_db, workers=2)
 
 
@@ -126,21 +125,22 @@ def test_process_backend_matches_serial_results(catalog_db):
     assert serial.hints == process.hints
 
 
-def test_pre_cancelled_sweep_yields_cancelled_records(catalog_db):
-    token = CancelToken()
-    token.set("shutdown")
+def test_table_timeout_applies_at_one_worker(catalog_db):
+    """``table_timeout`` bounds every table at any worker count: with one
+    worker, each table past its 1 ms budget is a TaskTimeoutError record."""
     report = sweep(
-        SqliteConnector(catalog_db), SweepConfig(sample=300), cancel_token=token
+        SqliteConnector(catalog_db),
+        SweepConfig(sample=300, workers=1, table_timeout=0.001),
     )
+    assert len(report.tables) == 3
     assert all(t.status == "error" for t in report.tables)
-    assert all(t.error["type"] == "CancelledError" for t in report.tables)
+    assert all(t.error["type"] == "TaskTimeoutError" for t in report.tables)
 
 
 def test_sweep_metrics_and_span_tree(catalog_db):
-    """A sweep opened under a span is one trace: every table span is a
-    child of the sweep span, inline or supervised from a pool thread,
-    and with workers > 1 each child's spans are stitched under their
-    table."""
+    """A sweep opened under a span is one trace: every table span, run
+    on a job thread, is a child of the sweep span, and with workers > 1
+    each child's spans are stitched under their table."""
     for workers in (1, 2):
         registry = MetricsRegistry()
         sink = ListSink()
@@ -177,5 +177,10 @@ def test_sweep_config_validation():
         SweepConfig(sample=1)
     with pytest.raises(CatalogError, match="unknown sweep config"):
         SweepConfig.from_dict({"samples": 10})
+    # FDX options are checked once, when the config is built.
+    for bad in ({"lam": -1}, {"lam": "foo"}, {"shrinkage": 2.0},
+                {"ordering": "bogus"}, {"estimator": "bogus"}, {"lamda": 0.1}):
+        with pytest.raises(CatalogError, match="hyperparameters"):
+            SweepConfig(hyperparameters=bad)
     config = SweepConfig(sample=64, hyperparameters={"lam": 0.1})
     assert SweepConfig.from_dict(config.to_dict()) == config

@@ -142,6 +142,24 @@ def test_discover_missing_file_is_one_line_error(tmp_path, capsys):
     assert "nope.csv" in captured.err
 
 
+@pytest.mark.parametrize("option", [
+    ["--max-rows", "1"], ["--sparsity", "-1"], ["--lam", "-1"],
+])
+def test_discover_bad_option_is_one_line_error(csv_path, option, capsys):
+    assert main(["discover", csv_path, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "discovered" not in captured.out
+
+
+def test_sweep_bad_option_is_one_line_error(tmp_path, capsys):
+    assert main(["sweep", "--input-dir", str(tmp_path), "--lam", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_discover_empty_csv_is_one_line_error(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.core.transform import center_within_blocks
 from repro.linalg.covariance import (
     DEFAULT_CHUNK_ROWS,
-    CovarianceAccumulator,
     block_centered_scatter,
-    chunk_bounds,
     condition_number_estimate,
     correlation_from_covariance,
     empirical_covariance,
@@ -122,18 +120,6 @@ def test_multi_chunk_covariance_matches_gemm(assume_centered):
         chunked, empirical_covariance(X, assume_centered=assume_centered),
         atol=1e-10,
     )
-
-
-def test_accumulator_merge_matches_whole_matrix():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(1000, 4))
-    bounds = chunk_bounds(X.shape[0], 256)
-    acc = CovarianceAccumulator.from_rows(X[bounds[0][0]:bounds[0][1]])
-    for lo, hi in bounds[1:]:
-        acc.merge(CovarianceAccumulator.from_rows(X[lo:hi]))
-    whole = CovarianceAccumulator.from_rows(X)
-    assert acc.n_rows == whole.n_rows
-    np.testing.assert_allclose(acc.covariance(), whole.covariance(), atol=1e-12)
 
 
 # -- the 0/1 block-centered moment --------------------------------------------

@@ -108,6 +108,13 @@ def test_invalid_options_rejected():
         FDX(sparsity=-0.1)
     with pytest.raises(ValueError):
         FDX(max_rows_per_attribute=1)
+    # Each of these used to reach the fallback ladder and come back as a
+    # degraded (or silently re-penalized) model instead of an error.
+    for bad in ({"lam": -0.1}, {"lam": "foo"}, {"lam": float("nan")},
+                {"shrinkage": 2.0}, {"shrinkage": -0.1},
+                {"ordering": "bogus"}, {"estimator": "bogus"}):
+        with pytest.raises(ValueError):
+            FDX(**bad)
 
 
 def test_max_rows_cap_reduces_samples():

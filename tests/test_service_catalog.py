@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.catalog import SqliteConnector, SweepConfig, sweep
 from repro.resilience.faults import FaultInjector
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import DiscoveryService, start_in_thread
@@ -91,12 +92,51 @@ def test_catalog_injected_failure_is_per_table(catalog_db):
         assert report["totals"]["tables_error"] == 1
         assert report["totals"]["tables_ok"] == 1
         (failed,) = [t for t in report["tables"] if t["status"] == "error"]
+        assert failed["error"]["type"] == "InjectedFault"
         assert "injected failure" in failed["error"]["message"]
         snapshot = service.registry.snapshot()
         assert snapshot["counters"]["catalog_tables_total{status=error}"] == 1.0
         assert snapshot["histograms"]["catalog_sweep_seconds"]["count"] == 1
     finally:
         service.close()
+
+
+@pytest.mark.parametrize("fault,workers,executor,config,expected", [
+    ("catalog.table", 1, "thread", {}, ["InjectedFault"]),
+    ("parallel.worker_crash", 2, "process", {}, ["WorkerCrashError"] * 2),
+    (None, 1, "thread", {"table_timeout": 0.001}, ["TaskTimeoutError"] * 2),
+])
+def test_sweep_and_service_record_the_same_failure(
+    catalog_db, fault, workers, executor, config, expected
+):
+    """``repro sweep`` and ``POST /v1/catalog`` plan through one
+    orchestrator, so the same failure gives records of the same type."""
+
+    def error_types(tables):
+        return sorted(t["error"]["type"] for t in tables if t["status"] == "error")
+
+    def injected(run):
+        injector = FaultInjector(seed=1)
+        if fault is not None:
+            injector.inject(fault, times=1)
+        with injector.install():
+            return run()
+
+    report = injected(lambda: sweep(
+        SqliteConnector(catalog_db),
+        SweepConfig(sample=300, workers=workers, **config),
+    ))
+    service = DiscoveryService(workers=workers, executor=executor)
+    try:
+        status_code, body = injected(lambda: service.catalog_submit(
+            {"source": {"kind": "sqlite", "path": catalog_db},
+             "sample": 300, "wait": True, **config}
+        ))
+    finally:
+        service.close()
+    assert status_code == 200
+    assert error_types(report.to_dict()["tables"]) == expected
+    assert error_types(body["report"]["tables"]) == expected
 
 
 def test_catalog_validation_errors(server, tmp_path):
@@ -120,6 +160,12 @@ def test_catalog_unknown_fields_rejected(catalog_db):
         )
         assert status_code == 400
         assert "smaple" in body["error"]["message"]
+        status_code, body = service.catalog_submit(
+            {"source": {"kind": "sqlite", "path": catalog_db},
+             "hyperparameters": {"lam": -1}}
+        )
+        assert status_code == 400
+        assert "lam" in body["error"]["message"]
     finally:
         service.close()
 
