@@ -152,7 +152,19 @@ echo "== bench smoke (report-only) =="
 "$PYTHON" -m repro bench --suite micro --smoke --no-record --report-only
 # The discovery cases also record each pipeline stage (<case>.<stage>).
 "$PYTHON" -m repro bench --suite scalability --smoke --no-record --report-only
+# The catalog cases build SQLite fixtures in temporary directories, which
+# the bench process must remove when it exits.
+count_catalog_fixtures() {
+    "$PYTHON" -c 'import glob, os, tempfile
+print(len(glob.glob(os.path.join(tempfile.gettempdir(), "repro-bench-catalog-*"))))'
+}
+FIXTURES_BEFORE="$(count_catalog_fixtures)"
 "$PYTHON" -m repro bench --suite catalog --smoke --no-record --report-only
+FIXTURES_AFTER="$(count_catalog_fixtures)"
+if [ "$FIXTURES_AFTER" -gt "$FIXTURES_BEFORE" ]; then
+    echo "bench smoke left $((FIXTURES_AFTER - FIXTURES_BEFORE)) catalog fixture directories behind" >&2
+    exit 1
+fi
 
 echo "== hash-seed smoke =="
 # The synthetic generator and the pipeline must not depend on Python's

@@ -54,12 +54,17 @@ def _first_values(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The codes of column ``name`` at ``rows``, the codes present there
     (ascending, missing excluded), and each present code's value at its
-    first occurrence in ``rows``."""
+    first occurrence in ``rows``.
+
+    One ``np.minimum.at`` over the codes keeps each code's first position
+    in ``rows``, with no sort; missing (``-1``) lands in a last slot that
+    is dropped.
+    """
     codes = relation.value_codes(name)[rows]
-    present, first = np.unique(codes, return_index=True)
-    if present.size and present[0] < 0:
-        present, first = present[1:], first[1:]
-    return codes, present, relation._column_view(name)[rows[first]]
+    first = np.full(int(codes.max()) + 2, rows.size)
+    np.minimum.at(first, codes, np.arange(rows.size))
+    present = np.flatnonzero(first[:-1] < rows.size)
+    return codes, present, relation._column_view(name)[rows[first[present]]]
 
 
 def _jaccard_agree(a: np.ndarray, b: np.ndarray, threshold: float) -> np.ndarray:
@@ -85,9 +90,9 @@ class _Encoded:
     Encoded columns are grouped by type: categorical columns first, as
     ranks of their values' ``repr`` in ``codes`` (``-1`` for missing),
     then numeric ones as floats in ``values`` (``NaN`` for missing) with
-    one ``tolerance`` each, then the token sets of each text column.
-    ``columns`` maps that grouped order to schema positions, and
-    ``sort_keys[j]`` orders rows by schema attribute ``j``.
+    one ``tolerance`` each, then the token sets of the text columns in
+    ``tokens``. ``columns`` maps that grouped order to schema positions,
+    and ``sort_keys[j]`` orders rows by schema attribute ``j``.
     """
 
     columns: np.ndarray
@@ -95,28 +100,60 @@ class _Encoded:
     has_missing: bool
     values: np.ndarray
     tolerance: np.ndarray
-    tokens: list[np.ndarray]
+    tokens: np.ndarray
     text_jaccard: float
     sort_keys: list[np.ndarray]
+
+    def take(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The code, value and token matrices at sampled ``rows``.
+
+        A matrix without columns is returned as is: gathering it would
+        still walk every index.
+        """
+        return tuple(
+            matrix.take(rows, axis=0) if matrix.shape[1] else matrix
+            for matrix in (self.codes, self.values, self.tokens)
+        )
+
+    def compare(self, left: tuple, right: tuple, out: np.ndarray) -> None:
+        """Write the agreement of rows ``left[t]`` and ``right[t]`` (as
+        gathered by :meth:`take`) into row ``t`` of ``out``, in grouped
+        column order: one comparator per type."""
+        (codes, values, tokens), (codes_r, values_r, tokens_r) = left, right
+        flags = out.view(np.bool_)
+        kc, kn = codes.shape[1], values.shape[1]
+        if kc:
+            same = np.equal(codes, codes_r, out=flags[:, :kc])
+            if self.has_missing:  # missing (-1) never agrees, not even with missing
+                same &= codes >= 0
+        if kn:
+            with np.errstate(invalid="ignore"):  # NaN and inf - inf compare False
+                np.less_equal(
+                    np.abs(values - values_r), self.tolerance,
+                    out=flags[:, kc:kc + kn],
+                )
+        for t in range(tokens.shape[1]):
+            out[:, kc + kn + t] = _jaccard_agree(
+                tokens[:, t], tokens_r[:, t], self.text_jaccard
+            )
 
     def agree(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """Write the agreement of sampled rows ``a[t]`` and ``b[t]`` into
         row ``t`` of ``out``, in grouped column order."""
-        flags = out.view(np.bool_)
-        kc, kn = self.codes.shape[1], self.values.shape[1]
-        if kc:
-            left = self.codes[a]
-            same = np.equal(left, self.codes[b], out=flags[:, :kc])
-            if self.has_missing:  # missing (-1) never agrees, not even with missing
-                same &= left >= 0
-        if kn:
-            with np.errstate(invalid="ignore"):  # NaN and inf - inf compare False
-                np.less_equal(
-                    np.abs(self.values[a] - self.values[b]), self.tolerance,
-                    out=flags[:, kc:kc + kn],
-                )
-        for t, tokens in enumerate(self.tokens, start=kc + kn):
-            out[:, t] = _jaccard_agree(tokens[a], tokens[b], self.text_jaccard)
+        self.compare(self.take(a), self.take(b), out)
+
+    def agree_circular(self, order: np.ndarray, out: np.ndarray) -> None:
+        """Write the agreement of sampled rows ``order[t]`` and
+        ``order[t + 1]`` into row ``t`` of ``out``, the last row paired
+        with ``order[0]``: one gather, each row compared with the next
+        by slicing."""
+        rows = self.take(order)
+        self.compare(
+            tuple(m[:-1] for m in rows), tuple(m[1:] for m in rows), out[:-1]
+        )
+        self.compare(
+            tuple(m[-1:] for m in rows), tuple(m[:1] for m in rows), out[-1:]
+        )
 
     def in_schema_order(self, out: np.ndarray) -> np.ndarray:
         """``out``'s columns moved from grouped to schema order."""
@@ -145,8 +182,7 @@ def _encode(
     rank_dtype = np.int16 if rows.size <= np.iinfo(np.int16).max else np.int32
     for j, attr in enumerate(relation.schema):
         if attr.dtype is AttributeType.TEXT:
-            sets = np.empty(rows.size, dtype=object)
-            sets[:] = [
+            sets = [
                 None if v is MISSING else _tokenize(v)
                 for v in relation._column_view(attr.name)[rows]
             ]
@@ -178,13 +214,16 @@ def _encode(
             codes.append(column)
         sort_keys.append(column)
     codes = np.stack(codes, axis=1) if codes else np.empty((rows.size, 0), rank_dtype)
+    token_sets = np.empty((rows.size, len(tokens)), dtype=object)
+    for t, sets in enumerate(tokens):
+        token_sets[:, t] = sets
     return _Encoded(
         columns=np.array(categorical + numeric + text, dtype=np.intp),
         codes=codes,
         has_missing=bool((codes < 0).any()),
         values=np.stack(values, axis=1) if values else np.empty((rows.size, 0)),
         tolerance=np.array(tolerance),
-        tokens=tokens,
+        tokens=token_sets,
         text_jaccard=text_jaccard,
         sort_keys=sort_keys,
     )
@@ -220,8 +259,7 @@ def pair_difference_transform(
     r = rows.size
     out = np.empty((r * k, k), dtype=np.uint8)
     for i, key in enumerate(encoded.sort_keys):
-        order = np.argsort(key, kind="stable")
-        encoded.agree(order, np.roll(order, -1), out[i * r:(i + 1) * r])
+        encoded.agree_circular(np.argsort(key, kind="stable"), out[i * r:(i + 1) * r])
     return encoded.in_schema_order(out)
 
 

@@ -17,6 +17,11 @@ import numpy as np
 #: in chunk order, so the result is a fixed function of the input.
 DEFAULT_CHUNK_ROWS = 8192
 
+#: Read-only ones for :func:`block_centered_scatter`: each block's column
+#: sums are one product with a slice of this vector, allocated once.
+_ONES = np.ones(DEFAULT_CHUNK_ROWS, dtype=np.float32)
+_ONES.flags.writeable = False
+
 
 def empirical_covariance(X: np.ndarray, assume_centered: bool = False) -> np.ndarray:
     """Maximum-likelihood covariance of the rows of ``X``.
@@ -103,12 +108,15 @@ def block_centered_scatter(X: np.ndarray, n_blocks: int = 1) -> np.ndarray:
     ``N`` gives the block-centered covariance; ``n_blocks=1`` centers at
     the global mean.
 
-    Both products are counts, so no centered float copy is made:
-    ``XᵀX`` is summed over :data:`DEFAULT_CHUNK_ROWS`-row chunks in
-    float32, which is exact for 0/1 data while a chunk has fewer than
-    2²⁴ rows, and the chunks fold in float64 (exact below 2⁵³). The only
-    rounding is in ``MᵀM / r`` and the subtraction, so the result does
-    not depend on the order of rows within a block.
+    Both products are counts, so no centered float copy is made. The
+    sample is read in pieces of whole blocks of at most
+    :data:`DEFAULT_CHUNK_ROWS` rows (a block taller than that alone, in
+    chunks of that many rows), and each piece is copied to float32 once.
+    That copy gives both the piece's ``XᵀX`` and its blocks' column sums
+    (one product with a ones vector), each exact for 0/1 data while a
+    piece has fewer than 2²⁴ rows, and the pieces fold in float64 (exact
+    below 2⁵³). The only rounding is in ``MᵀM / r`` and the subtraction,
+    so the result does not depend on the order of rows within a block.
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -119,14 +127,23 @@ def block_centered_scatter(X: np.ndarray, n_blocks: int = 1) -> np.ndarray:
     if n_blocks <= 0 or n % n_blocks != 0:
         raise ValueError(f"cannot split {n} rows into {n_blocks} equal blocks")
     rows_per_block = n // n_blocks
-    sums = X.reshape(n_blocks, rows_per_block, k).sum(axis=1, dtype=np.int64)
-    sums = sums.astype(np.float64)
-    gram = np.zeros((k, k))
+    if rows_per_block > DEFAULT_CHUNK_ROWS:
+        pieces = [
+            (block + start, block + stop)
+            for block in range(0, n, rows_per_block)
+            for start, stop in chunk_bounds(rows_per_block)
+        ]
+    else:
+        pieces = chunk_bounds(n, DEFAULT_CHUNK_ROWS // rows_per_block * rows_per_block)
     buffer = np.empty((min(n, DEFAULT_CHUNK_ROWS), k), dtype=np.float32)
-    for start, stop in chunk_bounds(n):
-        chunk = buffer[:stop - start]
-        np.copyto(chunk, X[start:stop])
-        gram += chunk.T @ chunk
+    gram, sums = np.zeros((k, k)), np.zeros((n_blocks, k))
+    for start, stop in pieces:
+        piece = buffer[:stop - start]
+        np.copyto(piece, X[start:stop])
+        gram += piece.T @ piece
+        height = min(stop - start, rows_per_block)  # rows summed per product
+        count, first = (stop - start) // height, start // rows_per_block
+        sums[first:first + count] += _ONES[:height] @ piece.reshape(count, height, k)
     return gram - (sums.T @ sums) / rows_per_block
 
 

@@ -435,8 +435,11 @@ def _catalog_fixture(n_tables: int, rows_per_table: int) -> str:
 
     Tables share a ``customer_id``-style column so the report stage has
     cross-table hints to compute — the sweep cases must price the whole
-    pipeline, not just per-table discovery.
+    pipeline, not just per-table discovery. The fixture's temporary
+    directory is removed when the process exits.
     """
+    import atexit
+    import shutil
     import sqlite3
     import tempfile
     from pathlib import Path
@@ -445,10 +448,9 @@ def _catalog_fixture(n_tables: int, rows_per_table: int) -> str:
     cached = _catalog_fixture._cache.get(key)
     if cached and Path(cached).is_file():
         return cached
-    path = str(
-        Path(tempfile.mkdtemp(prefix="repro-bench-catalog-"))
-        / f"catalog_{n_tables}x{rows_per_table}.sqlite"
-    )
+    directory = tempfile.mkdtemp(prefix="repro-bench-catalog-")
+    atexit.register(shutil.rmtree, directory, ignore_errors=True)
+    path = str(Path(directory) / f"catalog_{n_tables}x{rows_per_table}.sqlite")
     conn = sqlite3.connect(path)
     for t in range(n_tables):
         name = f"t{t:02d}"

@@ -3,10 +3,11 @@
 Python threads cannot be interrupted, so a timed-out or cancelled job
 would otherwise keep burning a worker until its pipeline finishes. A
 :class:`CancelToken` closes that gap cooperatively: the job manager sets
-the token when a job is cancelled or blows its deadline, and the FDX
-pipeline checks it at stage boundaries (and the graphical lasso at
-every outer iteration), raising :class:`CancelledError` so the worker
-frees up within one stage/iteration instead of one full discovery.
+the token when a job is cancelled, the token's own deadline fires when
+the job's budget runs out, and the FDX pipeline checks it at stage
+boundaries (and the graphical lasso at every outer iteration), raising
+:class:`CancelledError` so the worker frees up within one
+stage/iteration instead of one full discovery.
 
 The current token travels through a :mod:`contextvars` variable — the
 same mechanism the observability trace id uses — so the pipeline does
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import contextvars
 import threading
+import time
 
 from ..errors import ReproError
 
@@ -40,25 +42,34 @@ class CancelToken:
     ``set`` may be called from any thread (job manager, HTTP handler);
     workers poll via :meth:`raise_if_cancelled` at cheap intervals.
     ``reason`` records why (``"cancelled"``, ``"timeout"``, ...) for the
-    error message.
+    error message. Once ``deadline`` (a :func:`time.monotonic` value, or
+    None) passes, the token reads as set, with reason ``"timeout"``, so
+    work stops at its deadline whether or not anyone watches it.
     """
 
-    __slots__ = ("_event", "reason")
+    __slots__ = ("_event", "reason", "deadline")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self.reason: str = "cancelled"
+        self.deadline: float | None = None
 
     def set(self, reason: str = "cancelled") -> None:
         if not self._event.is_set():
             self.reason = reason
         self._event.set()
 
+    def expired(self) -> bool:
+        """True once the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
+
     def is_set(self) -> bool:
+        if not self._event.is_set() and self.expired():
+            self.set("timeout")
         return self._event.is_set()
 
     def raise_if_cancelled(self) -> None:
-        if self._event.is_set():
+        if self.is_set():
             raise CancelledError(f"work abandoned: {self.reason}")
 
 

@@ -7,9 +7,10 @@ host. Each job walks ``QUEUED -> RUNNING -> DONE | FAILED | CANCELLED``:
 
 * **timeout** — jobs carry a per-job wall-clock budget measured from the
   moment they start running. Python threads cannot be interrupted, so a
-  blown budget is enforced at observation time: the job *reports* FAILED
-  as soon as its deadline passes, and whatever the worker eventually
-  produces is discarded.
+  blown budget is enforced twice: the job *reports* FAILED as soon as its
+  deadline passes, and whatever the worker eventually produces is
+  discarded; and the job's cancel token carries the same deadline, so
+  cooperative pipeline code unwinds at it even if nobody polls the job.
 * **cancellation** — a queued job is cancelled outright (the executor
   never runs it); a running job is flagged *and* its
   :class:`~repro.resilience.CancelToken` is set, so cooperative
@@ -196,6 +197,10 @@ class Job:
             self._state = RUNNING
             self.started_at = time.monotonic()
             self.queue_seconds = self.started_at - self._submitted_monotonic
+            if self.timeout is not None:
+                # Work polling the token unwinds at the deadline even
+                # when nothing observes the job's state.
+                self.cancel_token.deadline = self.started_at + self.timeout
             return True
 
     def _finish_locked(
@@ -226,7 +231,9 @@ class Job:
 
     def _fail(self, exc: BaseException) -> None:
         with self._lock:
-            if self._cancel_requested:
+            if self._timed_out_locked():
+                self._time_out_locked()
+            elif self._cancel_requested:
                 self._finish_locked(CANCELLED, error="cancelled while running")
             else:
                 self._finish_locked(
@@ -235,12 +242,7 @@ class Job:
                 )
 
     def _timed_out_locked(self) -> bool:
-        return (
-            self.timeout is not None
-            and self.started_at is not None
-            and self._state == RUNNING
-            and time.monotonic() - self.started_at > self.timeout
-        )
+        return self._state == RUNNING and self.cancel_token.expired()
 
     def _time_out_locked(self) -> None:
         self._finish_locked(

@@ -180,6 +180,61 @@ def test_block_centered_scatter_ignores_row_order_within_blocks(n_blocks):
     )
 
 
+def frozen_block_centered_scatter(X, n_blocks):
+    """``block_centered_scatter`` before its block sums came from the
+    Gram's float32 copy: int64 block sums in a pass of their own, and the
+    float32 Gram over fixed 8192-row chunks folded in float64."""
+    n, k = X.shape
+    rows_per_block = n // n_blocks
+    sums = X.reshape(n_blocks, rows_per_block, k).sum(axis=1, dtype=np.int64)
+    sums = sums.astype(np.float64)
+    gram = np.zeros((k, k))
+    for start in range(0, n, 8192):
+        chunk = X[start:start + 8192].astype(np.float32)
+        gram += chunk.T @ chunk
+    return gram - (sums.T @ sums) / rows_per_block
+
+
+@pytest.mark.parametrize("n_blocks", ["k", 1])
+@pytest.mark.parametrize("rows_per_block,k", [
+    (1000, 68),  # paper Figure 6's 1000 x 68
+    (500, 40),
+    (250, 16),
+    (9000, 4),  # blocks taller than a chunk
+    (2, 200),  # short, wide blocks
+    (20, 190),
+    (3, 5),
+    (50, 1),
+])
+def test_block_centered_scatter_equals_frozen_reference(rows_per_block, k, n_blocks):
+    X = agreement_sample(rows_per_block, k, seed=rows_per_block + k)
+    n_blocks = k if n_blocks == "k" else n_blocks
+    assert np.array_equal(
+        block_centered_scatter(X, n_blocks), frozen_block_centered_scatter(X, n_blocks)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows_per_block=st.one_of(
+        st.integers(1, 80),
+        st.integers(DEFAULT_CHUNK_ROWS - 2, DEFAULT_CHUNK_ROWS + 2),
+    ),
+    n_blocks=st.integers(1, 12),
+    k=st.integers(1, 12),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_centered_scatter_equals_frozen_reference_on_random_samples(
+    rows_per_block, n_blocks, k, density, seed
+):
+    rng = np.random.default_rng(seed)
+    X = (rng.random((rows_per_block * n_blocks, k)) < density).astype(np.uint8)
+    assert np.array_equal(
+        block_centered_scatter(X, n_blocks), frozen_block_centered_scatter(X, n_blocks)
+    )
+
+
 def test_block_centered_scatter_rejects_ragged_and_empty_input():
     with pytest.raises(ValueError):
         block_centered_scatter(np.zeros((10, 2), dtype=np.uint8), 3)

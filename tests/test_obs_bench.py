@@ -1,6 +1,10 @@
 """Tests for the benchmark regression ledger and detector."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,30 @@ def test_run_suite_smoke_records_all_cases():
     assert record["peak_rss_bytes"] > 0
     with pytest.raises(ValueError):
         bench.run_suite("nope")
+
+
+_FIXTURE_SCRIPT = """
+from repro.obs import bench
+path = bench._catalog_fixture(2, 50)
+assert bench._catalog_fixture(2, 50) == path  # memoised within the process
+print(path)
+"""
+
+
+def test_catalog_fixture_is_removed_when_its_process_exits():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _FIXTURE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    path = Path(completed.stdout.strip())
+    assert path.name == "catalog_2x50.sqlite"
+    assert path.parent.name.startswith("repro-bench-catalog-")
+    assert not path.parent.exists()
 
 
 def test_discovery_cases_record_every_stage():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.resilience.cancel import current_cancel_token
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -58,6 +59,34 @@ def test_per_job_timeout_reports_failed(manager):
     time.sleep(0.1)
     assert job.state == FAILED
     assert job.result is None
+
+
+def test_unobserved_job_stops_at_its_deadline():
+    """A job nobody polls still unwinds at its deadline: its cancel token
+    reads as set once the budget runs out, and the job records the same
+    timeout an observer would have seen."""
+    manager = JobManager(workers=1, max_attempts=1)
+    stopped = threading.Event()
+
+    def poll_token():
+        token = current_cancel_token()
+        end = time.monotonic() + 2.0
+        try:
+            while time.monotonic() < end:
+                token.raise_if_cancelled()
+                time.sleep(0.001)
+        finally:
+            stopped.set()
+
+    try:
+        job = manager.submit(poll_token, timeout=0.05, key="work")
+        assert stopped.wait(0.5)  # no job.state read before this point
+        assert job.wait(timeout=5.0) == FAILED
+        assert job.error == "timed out after 0.050s"
+        assert job.error_type == "TaskTimeoutError"
+        assert manager.quarantined_keys() == {}  # no attempt burned
+    finally:
+        manager.shutdown(wait=False)
 
 
 def test_cancel_queued_job():

@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.fdx import FDX
+from repro.core.structure import sample_covariance
 from repro.core.transform import (
     DEFAULT_NUMERIC_TOLERANCE,
     DEFAULT_TEXT_JACCARD,
@@ -12,6 +14,7 @@ from repro.core.transform import (
     pair_difference_transform,
     uniform_pair_transform,
 )
+from repro.datagen.synthetic import SyntheticSpec, generate
 from repro.dataset.relation import MISSING, Relation
 from repro.dataset.schema import Attribute, AttributeType, Schema
 
@@ -174,3 +177,20 @@ def test_transform_output_is_pinned(cap, digest):
     )
     assert out.dtype == np.uint8
     assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+
+
+def test_figure6_covariance_is_pinned():
+    """The exact bytes of ``S`` for one 1000 x 68 Figure-6 instance.
+
+    The Gram and the block sums are exact counts, so only ``MᵀM / r``,
+    the subtraction and the division round: a rewrite of the covariance
+    kernels must keep this digest.
+    """
+    relation = generate(SyntheticSpec(
+        n_tuples=1000, n_attributes=68, domain_low=64, domain_high=216,
+        noise_rate=0.01, seed=1000,
+    )).relation
+    S = sample_covariance(FDX().transform_relation(relation), 68)
+    assert hashlib.sha256(S.tobytes()).hexdigest() == (
+        "c067c0e12383359594a69a8714910c0f254d72f1db9aa355c977c76aa32c67c3"
+    )
